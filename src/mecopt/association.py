@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .model import Association, SystemConfig, ServerProfile, UserProfile, downlink_bits
-from .sdp import SdpProblem, SdpSolution, solve_sdp, symmetric_eig
+from .sdp import SdpProblem, SdpSolution, solve_sdp
 
 __all__ = [
     "QcqpInstance",
@@ -191,7 +191,7 @@ def gaussian_randomize(inst: QcqpInstance, b_star: np.ndarray,
     b_sym = 0.5 * (np.asarray(b_star, dtype=float) + np.asarray(b_star, dtype=float).T)
     if b_sym.shape != (dim, dim):
         raise ValueError(f"b_star shape {b_sym.shape} != ({dim}, {dim})")
-    w, v = symmetric_eig(b_sym)
+    w, v = np.linalg.eigh(b_sym)
     scale_ref = max(1.0, float(np.abs(w).max()))
     if w[0] < -1e-4 * scale_ref:
         raise ValueError(f"b_star is not PSD within tolerance (min eig {w[0]:.3g})")

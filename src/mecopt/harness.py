@@ -18,10 +18,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .association import QcqpInstance, SdrResult
+from .association import SdrResult
 from .earnings import DEFAULT_PARAMS, EarnFamily, eval_earning, normalize_input
 from .model import ServerProfile, SystemConfig, UserProfile
-from .optimizer import (BaselineKind, SolveOptions, run_baseline, solve_joint)
+from .optimizer import (BaselineKind, SolveOptions, memoized_association_solver,
+                        run_baseline, solve_joint)
 from .power import feasibility_ratio
 
 __all__ = [
@@ -182,26 +183,6 @@ def opt_earnings_total(cfg: SystemConfig, users: Sequence[UserProfile]) -> float
         for u in users)
 
 
-def _memoized_association_solver(cache: Dict[bytes, SdrResult]):
-    from .optimizer import _default_association_solver
-
-    def solver(inst: QcqpInstance, opts: SolveOptions,
-               initial: Optional[np.ndarray]) -> SdrResult:
-        key = (inst.task_flops.tobytes() + inst.server_flops.tobytes()
-               + inst.a_dim.to_bytes(4, "little"))
-        hit = cache.get(key)
-        if hit is not None:
-            # The relaxation is invariant to the cost scale, so the cached
-            # factor is reused and only the bound is recomputed.
-            bound = float((inst.scale * 0.5 * (inst.p1 + inst.p1.T) * hit.b_star).sum())
-            return SdrResult(hit.b_star, bound, hit.solution)
-        res = _default_association_solver(inst, opts, initial)
-        cache[key] = res
-        return res
-
-    return solver
-
-
 def _solve_method(method: str, cfg: SystemConfig, users, servers,
                   opts: SolveOptions, assoc_solver) -> Tuple:
     if method == "proposed":
@@ -213,7 +194,7 @@ def _solve_method(method: str, cfg: SystemConfig, users, servers,
     kind = {"optlat": BaselineKind.OPT_LATENCY,
             "optearn": BaselineKind.OPT_EARNINGS,
             "random": BaselineKind.RANDOM}[method]
-    alloc = run_baseline(kind, cfg, users, servers, opts)
+    alloc = run_baseline(kind, cfg, users, servers, opts, association_solver=assoc_solver)
     return alloc, (1 if kind is BaselineKind.OPT_LATENCY else 0), 0.0
 
 
@@ -252,7 +233,7 @@ def run_sweep(kind: SweepKind, spec: ScenarioSpec, methods: Sequence[str],
                 else:
                     cfg = dataclasses.replace(cfg, s_min_px=float(value))
             norm = opt_earnings_total(cfg, users)
-            assoc_solver = _memoized_association_solver(sdr_cache)
+            assoc_solver = memoized_association_solver(sdr_cache)
             for method in methods:
                 opts = SolveOptions(rng_seed=scen_seed, rand_samples_l=rand_samples,
                                     sdp_tol=sdp_tol, sdp_max_iter=sdp_max_iter)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .association import (QcqpInstance, SdrResult, build_qcqp,
+from .association import (QcqpInstance, SdrResult, _sdr_cost, build_qcqp,
                           gaussian_randomize, solve_association_sdr)
 from .earnings import DEFAULT_PARAMS, eval_earning, normalize_input
 from .model import (Allocation, Association, ServerProfile, SystemConfig,
@@ -29,6 +29,7 @@ __all__ = [
     "BaselineKind",
     "solve_joint",
     "run_baseline",
+    "memoized_association_solver",
     "auto_normalized_config",
     "round_robin_association",
 ]
@@ -55,9 +56,17 @@ class SolveOptions:
 
 @dataclass
 class SolveTrace:
+    """Per-outer-iteration record of a joint solve.
+
+    sdp_iterations and sdp_status describe the relaxation each outer
+    iteration used (its SdpSolution's iteration count and status value).
+    """
+
     objective_values: List[float] = field(default_factory=list)
     association_accepted: List[bool] = field(default_factory=list)
     sdr_gaps: List[float] = field(default_factory=list)
+    sdp_iterations: List[int] = field(default_factory=list)
+    sdp_status: List[str] = field(default_factory=list)
     allocation: Optional[Allocation] = None
     method: str = "proposed"
 
@@ -81,6 +90,30 @@ def _default_association_solver(inst: QcqpInstance, opts: SolveOptions,
                                 initial: Optional[np.ndarray]) -> SdrResult:
     return solve_association_sdr(
         inst, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter, initial=initial)
+
+
+def memoized_association_solver(cache: Dict[bytes, SdrResult]) -> AssociationSolver:
+    """The default association solver, reusing relaxations held in cache.
+
+    Entries are keyed by the instance's task and server FLOPs, which fix the
+    relaxation up to the cost scale; the solver normalizes the cost, so a hit
+    reuses the cached solution and recomputes only the bound at the new
+    scale. The cache belongs to the caller, who decides its lifetime.
+    """
+
+    def solver(inst: QcqpInstance, opts: SolveOptions,
+               initial: Optional[np.ndarray]) -> SdrResult:
+        key = (inst.task_flops.tobytes() + inst.server_flops.tobytes()
+               + inst.a_dim.to_bytes(4, "little"))
+        hit = cache.get(key)
+        if hit is not None:
+            bound = float((_sdr_cost(inst) * hit.b_star).sum())
+            return SdrResult(hit.b_star, bound, hit.solution)
+        res = _default_association_solver(inst, opts, initial)
+        cache[key] = res
+        return res
+
+    return solver
 
 
 def _prop1_powers(cfg: SystemConfig, users: Sequence[UserProfile]) -> np.ndarray:
@@ -131,6 +164,8 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
         report = gaussian_randomize(
             inst, sdr.b_star, opts.rand_samples_l, _derive_seed(opts.rng_seed, it))
         trace.sdr_gaps.append(report.gap)
+        trace.sdp_iterations.append(sdr.solution.iterations)
+        trace.sdp_status.append(sdr.solution.status.value)
         candidate = report.best_assoc
         f_cand = total_objective(cfg, users, servers, powers, resolutions, candidate)
         if f_cand < f_cur:
@@ -162,12 +197,14 @@ _BASELINE_SEED_TAG = {
 
 def run_baseline(kind: BaselineKind, cfg: SystemConfig,
                  users: Sequence[UserProfile], servers: Sequence[ServerProfile],
-                 opts: SolveOptions) -> Allocation:
+                 opts: SolveOptions,
+                 association_solver: Optional[AssociationSolver] = None) -> Allocation:
     """One of the three reference methods, with powers set by the closed form.
 
     OPT_LATENCY pins the minimum resolution and runs the relaxation pipeline
     for the assignment (its rounding seed matches the joint solver's first
-    pass, so on a shared seed both start from the same assignment).
+    pass, so on a shared seed both start from the same assignment); its
+    relaxation goes through association_solver, as in solve_joint.
     OPT_EARNINGS pins the maximum resolution with a uniform-random
     assignment; RANDOM draws both uniformly.
     """
@@ -178,7 +215,7 @@ def run_baseline(kind: BaselineKind, cfg: SystemConfig,
     if kind is BaselineKind.OPT_LATENCY:
         resolutions = np.full(k_total, cfg.s_min_px)
         inst = build_qcqp(cfg, users, servers, resolutions)
-        sdr = _default_association_solver(inst, opts, None)
+        sdr = (association_solver or _default_association_solver)(inst, opts, None)
         report = gaussian_randomize(
             inst, sdr.b_star, opts.rand_samples_l, _derive_seed(opts.rng_seed, tag))
         assoc = report.best_assoc

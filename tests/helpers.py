@@ -1,6 +1,7 @@
 """Shared factories and independent oracles for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -67,3 +68,47 @@ def spearman(xs, ys) -> float:
 def random_one_hot(rng, num_users, num_servers) -> Association:
     return Association.from_server_indices(
         rng.integers(0, num_servers, size=num_users), num_servers)
+
+
+def jacobi_eig(a, tol=1e-12, max_sweeps=100):
+    """Cyclic Jacobi eigendecomposition of a symmetric matrix, ascending.
+
+    Rotates away off-diagonal entries sweep by sweep until the off-diagonal
+    norm drops below tol times the matrix norm. Quadratic-time per sweep and
+    meant for small matrices: an independent cross-check of LAPACK's eigh.
+    """
+    m = np.array(a, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.allclose(m, m.T):
+        raise ValueError("jacobi_eig needs a square symmetric matrix")
+    m = 0.5 * (m + m.T)
+    n = m.shape[0]
+    v = np.eye(n)
+    norm_a = float(np.linalg.norm(m)) or 1.0
+
+    def off_norm() -> float:
+        off = m - np.diag(np.diag(m))
+        return float(np.linalg.norm(off))
+
+    for _ in range(max_sweeps):
+        if off_norm() <= tol * norm_a:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = m[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                phi = 0.5 * math.atan2(2.0 * apq, m[q, q] - m[p, p])
+                c, s = math.cos(phi), math.sin(phi)
+                rot_p = c * m[p, :] - s * m[q, :]
+                rot_q = s * m[p, :] + c * m[q, :]
+                m[p, :], m[q, :] = rot_p, rot_q
+                col_p = c * m[:, p] - s * m[:, q]
+                col_q = s * m[:, p] + c * m[:, q]
+                m[:, p], m[:, q] = col_p, col_q
+                m[p, q] = m[q, p] = 0.0
+                vp = c * v[:, p] - s * v[:, q]
+                vq = s * v[:, p] + c * v[:, q]
+                v[:, p], v[:, q] = vp, vq
+    w = np.diag(m).copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]

@@ -42,6 +42,17 @@ def test_trace_is_deterministic():
     assert np.array_equal(a1.resolutions, a2.resolutions)
 
 
+def test_trace_records_sdp_iteration_cap():
+    # One user on one server: the capped relaxation is still PSD enough to
+    # round, which at larger sizes ten iterations do not reach.
+    cfg = make_cfg(num_users=1, num_servers=1, weight_omega=2.0)
+    opts = SolveOptions(rng_seed=0, rand_samples_l=50, sdp_tol=1e-4, sdp_max_iter=10)
+    _, trace = solve_joint(cfg, [make_user()], [ServerProfile(2e12)], opts)
+    outer = len(trace.objective_values) - 1
+    assert trace.sdp_status == ["iteration_cap"] * outer
+    assert trace.sdp_iterations == [10] * outer
+
+
 def test_accepted_objective_sequence_never_increases():
     for seed in range(8):
         cfg, users, servers = small_scenario(70 + seed, 6, 3,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mecopt.association import build_qcqp, solve_association_sdr
-from mecopt.sdp import (AsymmetricMatrixError, SdpProblem, SdpStatus,
-                        jacobi_eig, project_psd, solve_sdp, symmetric_eig)
-from helpers import make_cfg, make_user, small_scenario
+from mecopt.sdp import (AsymmetricMatrixError, SdpProblem, SdpStatus, _AffineStep,
+                        _clamp_negative, project_psd, solve_sdp)
+from helpers import jacobi_eig, make_cfg, make_user, small_scenario
 
 
 def _random_symmetric(rng, n):
@@ -15,7 +15,7 @@ def _random_symmetric(rng, n):
 
 
 def test_eig_identity():
-    w, v = symmetric_eig(np.eye(4))
+    w, v = jacobi_eig(np.eye(4))
     assert np.allclose(w, 1.0)
     assert np.allclose(v @ v.T, np.eye(4), atol=1e-12)
 
@@ -25,32 +25,109 @@ def test_eig_recovers_rotated_spectrum():
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     a = rot @ np.diag([3.0, 1.0]) @ rot.T
-    w, _ = symmetric_eig(a)
+    w, _ = jacobi_eig(a)
     assert w == pytest.approx([1.0, 3.0], rel=1e-12)
 
 
 def test_eig_reconstruction_residual(rng):
     a = _random_symmetric(rng, 30)
-    w, v = symmetric_eig(a)
+    w, v = jacobi_eig(a)
     assert np.linalg.norm((v * w) @ v.T - a) < 1e-8 * np.linalg.norm(a)
 
 
 def test_eig_rejects_asymmetric(rng):
     a = rng.standard_normal((5, 5))
     with pytest.raises(AsymmetricMatrixError):
-        symmetric_eig(a)
+        project_psd(a)
     with pytest.raises(AsymmetricMatrixError):
-        symmetric_eig(rng.standard_normal((3, 4)))
+        project_psd(rng.standard_normal((3, 4)))
+    with pytest.raises(ValueError):
+        jacobi_eig(a)
 
 
 def test_jacobi_agrees_with_lapack(rng):
     for n in (2, 7, 30):
         a = _random_symmetric(rng, n)
         w_j, v_j = jacobi_eig(a)
-        w_l, _ = symmetric_eig(a)
+        w_l = np.linalg.eigvalsh(a)
         assert w_j == pytest.approx(w_l, rel=1e-10, abs=1e-10)
         assert np.linalg.norm((v_j * w_j) @ v_j.T - a) < 1e-10 * np.linalg.norm(a)
         assert np.linalg.norm(v_j @ v_j.T - np.eye(n)) < 1e-10
+
+
+def _with_spectrum(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), len(eigenvalues))))
+    a = (q * eigenvalues) @ q.T
+    return 0.5 * (a + a.T)
+
+
+@pytest.mark.parametrize("negatives", [0, 1, 3, 11])
+def test_cone_step_matches_full_eigen_clamp(rng, negatives):
+    n = 12
+    spectrum = np.concatenate([-rng.uniform(0.1, 2.0, negatives),
+                               rng.uniform(0.1, 2.0, n - negatives)])
+    a = _with_spectrum(rng, spectrum)
+    w, v = np.linalg.eigh(a)
+    want = (v * np.maximum(w, 0.0)) @ v.T
+    got = _clamp_negative(a)
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.array_equal(got, got.T)
+
+
+def _partial_support_problem(rng, n, m, with_ineq):
+    """Random symmetric constraints that all vanish outside one random pattern."""
+    pattern = rng.random((n, n)) < 0.3
+    pattern = pattern | pattern.T
+    pattern[0, 0] = True
+    eqs = [(np.where(pattern, _random_symmetric(rng, n), 0.0), float(rng.normal()))
+           for _ in range(m)]
+    ineq = np.where(pattern, _random_symmetric(rng, n), 0.0) if with_ineq else None
+    return SdpProblem(dim=n, cost=np.eye(n), eq_constraints=eqs, trace_ineq=ineq), pattern
+
+
+def _dense_projection(v, mats, rhs):
+    a = np.stack([mat.ravel() for mat in mats])
+    step = a.T @ (np.linalg.pinv(a @ a.T) @ (a @ v.ravel() - np.asarray(rhs)))
+    return v - step.reshape(v.shape)
+
+
+def test_affine_step_matches_dense_projection(rng):
+    n, m = 9, 4
+    active_seen = inactive_seen = 0
+    for trial in range(40):
+        prob, pattern = _partial_support_problem(rng, n, m, with_ineq=trial % 4 != 0)
+        mats = [mat for mat, _ in prob.eq_constraints]
+        rhs = [b for _, b in prob.eq_constraints]
+        v = _random_symmetric(rng, n)
+        got = _AffineStep(prob).project(v)
+        want = _dense_projection(v, mats, rhs)
+        y = prob.trace_ineq
+        if y is not None and (y * want).sum() > 0.0:
+            active_seen += 1
+            want = _dense_projection(v, mats + [y], rhs + [0.0])
+            assert (y * got).sum() == pytest.approx(0.0, abs=1e-10)
+        else:
+            inactive_seen += 1
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(v).max())
+        assert np.array_equal(got[~pattern], v[~pattern])
+    assert active_seen and inactive_seen
+
+
+def test_affine_step_half_space_only(rng):
+    n = 6
+    y = np.zeros((n, n))
+    y[1, 2] = y[2, 1] = 1.0
+    y[0, 0] = -1.0
+    prob = SdpProblem(dim=n, cost=np.eye(n), eq_constraints=[], trace_ineq=y)
+    step = _AffineStep(prob)
+    v = _random_symmetric(rng, n)
+    v[1, 2] = v[2, 1] = 5.0
+    v[0, 0] = 1.0
+    got = step.project(v)
+    want = v - ((y * v).sum() / (y * y).sum()) * y
+    assert np.abs(got - want).max() <= 1e-14
+    v[1, 2] = v[2, 1] = -5.0
+    assert np.array_equal(step.project(v), v)
 
 
 def test_project_psd_fixed_point(rng):
