@@ -2,8 +2,9 @@
 """Score the relaxation-and-rounding pipeline against exhaustive enumeration.
 
 Prints one line per random small instance (lower bound, rounded objective,
-exact optimum) and a summary of how often the bound holds and the rounding
-lands within 5% of exact. Equivalent to `mecopt oracle-compare`.
+exact optimum, SDP iterations) and a summary of how often the bound holds,
+how often the rounding lands within 5% of exact, and the total SDP
+iterations. Equivalent to `mecopt oracle-compare`.
 """
 
 import os

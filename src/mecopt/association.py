@@ -6,18 +6,25 @@ assignment vector. The binary program is lifted to a semidefinite relaxation
 over B = b b' (b the homogenized vector), solved, and rounded back to a
 feasible one-hot assignment by Gaussian randomization. Exhaustive enumeration
 is provided as the exactness oracle for small instances.
+
+The relaxation's constraints other than B >= 0 (PSD) are the one-server row
+sums on the border, the corner B_nn = 1, the binarity half-space
+Tr(Y B) <= 0 and B >= 0 off the corner. Together they form a polytope with a
+closed-form projection (per-user simplex projections of the border plus a
+one-threshold water-fill on the diagonal), so solve_sdp splits the
+relaxation over two copies: that polytope and the PSD cone.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import Association, SystemConfig, ServerProfile, UserProfile, downlink_bits
-from .sdp import SdpProblem, SdpSolution, solve_sdp
+from .sdp import ConstraintSet, SdpSolution, solve_sdp
 
 __all__ = [
     "QcqpInstance",
@@ -46,8 +53,8 @@ class QcqpInstance:
     per-server compute-latency block of user k, so that a' P a equals the
     total compute latency of the assignment. p1 is the homogenized cost with
     a zero border, y_matrix encodes binarity (b' Y b = sum a(1-a)) and
-    g_matrices the one-server-per-user row sums. scale multiplies latency
-    into utility units.
+    g_matrices the one-server-per-user row sums (Tr(G_k B) = 1). scale
+    multiplies latency into utility units.
     """
 
     num_users: int
@@ -56,11 +63,32 @@ class QcqpInstance:
     p_matrix: np.ndarray
     q_matrix: np.ndarray
     p1: np.ndarray
-    y_matrix: np.ndarray
-    g_matrices: Tuple[np.ndarray, ...]
     scale: float
     task_flops: np.ndarray
     server_flops: np.ndarray
+
+    # The solver projects onto the constraints in closed form, so their
+    # dense matrices are built on each access, only to check the formulation.
+
+    @property
+    def y_matrix(self) -> np.ndarray:
+        m = self.a_dim
+        y = np.zeros((m + 1, m + 1))
+        y[:m, :m] = -np.eye(m)
+        y[:m, m] = 0.5
+        y[m, :m] = 0.5
+        return y
+
+    @property
+    def g_matrices(self) -> Tuple[np.ndarray, ...]:
+        m = self.a_dim
+        gs = []
+        for q_row in self.q_matrix:
+            g = np.zeros((m + 1, m + 1))
+            g[:m, m] = 0.5 * q_row
+            g[m, :m] = 0.5 * q_row
+            gs.append(g)
+        return tuple(gs)
 
 
 def build_qcqp(cfg: SystemConfig, users: Sequence[UserProfile],
@@ -88,18 +116,6 @@ def build_qcqp(cfg: SystemConfig, users: Sequence[UserProfile],
     p1 = np.zeros((m + 1, m + 1))
     p1[:m, :m] = p_matrix
 
-    y = np.zeros((m + 1, m + 1))
-    y[:m, :m] = -np.eye(m)
-    y[:m, m] = 0.5
-    y[m, :m] = 0.5
-
-    gs = []
-    for j in range(k_total):
-        g = np.zeros((m + 1, m + 1))
-        g[:m, m] = 0.5 * q_matrix[j]
-        g[m, :m] = 0.5 * q_matrix[j]
-        gs.append(g)
-
     return QcqpInstance(
         num_users=k_total,
         num_servers=n_total,
@@ -107,8 +123,6 @@ def build_qcqp(cfg: SystemConfig, users: Sequence[UserProfile],
         p_matrix=p_matrix,
         q_matrix=q_matrix,
         p1=p1,
-        y_matrix=y,
-        g_matrices=tuple(gs),
         scale=cfg.eta_lat * cfg.weight_omega,
         task_flops=task,
         server_flops=f,
@@ -142,26 +156,87 @@ class SdrResult:
     solution: SdpSolution
 
 
+def _project_simplex_rows(v: np.ndarray, total: float) -> np.ndarray:
+    """Euclidean projection of each row of v onto {x >= 0, sum x = total}.
+
+    Duchi et al., ICML 2008: with the row sorted descending, the number of
+    positive entries r is the last j where u_j > (u_1 + ... + u_j - total) / j,
+    and the answer is max(v - theta, 0) with theta that mean excess.
+    """
+    u = -np.sort(-v, axis=1)
+    excess = np.cumsum(u, axis=1) - total
+    positive = u * np.arange(1, v.shape[1] + 1) > excess
+    positive[:, 0] = True  # true in exact arithmetic for total > 0
+    r = v.shape[1] - np.argmax(positive[:, ::-1], axis=1)
+    theta = excess[np.arange(v.shape[0]), r - 1] / r
+    return np.maximum(v - theta[:, None], 0.0)
+
+
+class _AssignmentPolytope:
+    """The relaxation's constraints besides the cone, as one exact projection.
+
+    For symmetric B of size m + 1 (m = K N, the border is row and column m)
+    the set is: user k's N border entries sum to one, B_mm = 1,
+    Tr(Y B) = sum(border) - sum(diag) <= 0, and B >= 0 off the corner. The row
+    sums fix sum(border) = K, so the half-space reduces to sum(diag) >= K, and
+    the set is a product: per-user probability simplices on the border, the
+    set {d >= 0, sum d >= K} on the diagonal, the orthant elsewhere and the
+    fixed corner. Its projection therefore splits the same way.
+    """
+
+    def __init__(self, num_users: int, num_servers: int) -> None:
+        self.num_users = num_users
+        self.num_servers = num_servers
+        self.m = num_users * num_servers
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        m, k_total = self.m, self.num_users
+        w = np.maximum(v, 0.0)
+        w[m, m] = 1.0
+        border = 0.5 * (v[:m, m] + v[m, :m])
+        border = _project_simplex_rows(border.reshape(k_total, self.num_servers), 1.0).ravel()
+        w[:m, m] = border
+        w[m, :m] = border
+        diag = np.diagonal(w)[:m]
+        if diag.sum() < k_total:
+            # the half-space is active: water-fill the diagonal up to sum K
+            diag = _project_simplex_rows(np.diagonal(v)[None, :m], float(k_total))[0]
+            np.fill_diagonal(w[:m, :m], diag)
+        return w
+
+    def violations(self, x: np.ndarray) -> Tuple[float, float]:
+        """Largest row-sum or corner residual, and the half-space's excess."""
+        m = self.m
+        border = 0.5 * (x[:m, m] + x[m, :m])
+        rows = border.reshape(self.num_users, self.num_servers).sum(axis=1)
+        eq_v = max(float(np.abs(rows - 1.0).max()), abs(float(x[m, m]) - 1.0))
+        ineq_v = max(0.0, float(border.sum() - np.trace(x[:m, :m])))
+        return eq_v, ineq_v
+
+
+class _Relaxation(NamedTuple):
+    """The association relaxation in the form solve_sdp takes."""
+
+    dim: int
+    cost: np.ndarray
+    nonneg_mask: np.ndarray
+    polytope: _AssignmentPolytope
+
+    def constraint_sets(self) -> List[ConstraintSet]:
+        return [self.polytope]
+
+
 def solve_association_sdr(inst: QcqpInstance, tol: float = 1e-6,
                           max_iter: int = 20000,
                           initial: Optional[np.ndarray] = None) -> SdrResult:
     """Solve the lifted relaxation; the objective is a lower bound on the
     best binary assignment's scaled compute latency."""
     dim = inst.a_dim + 1
-    eqs = [(g, 1.0) for g in inst.g_matrices]
-    corner = np.zeros((dim, dim))
-    corner[-1, -1] = 1.0
-    eqs.append((corner, 1.0))
     mask = np.ones((dim, dim), dtype=bool)
     mask[-1, -1] = False
-    prob = SdpProblem(
-        dim=dim,
-        cost=_sdr_cost(inst),
-        eq_constraints=eqs,
-        nonneg_mask=mask,
-        trace_ineq=inst.y_matrix,
-    )
-    sol = solve_sdp(prob, tol=tol, max_iter=max_iter, initial=initial)
+    relaxation = _Relaxation(dim, _sdr_cost(inst), mask,
+                             _AssignmentPolytope(inst.num_users, inst.num_servers))
+    sol = solve_sdp(relaxation, tol=tol, max_iter=max_iter, initial=initial)
     return SdrResult(b_star=sol.x, lower_bound=sol.objective, solution=sol)
 
 

@@ -98,10 +98,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         alloc, trace = solve_joint(cfg, users, servers, opts)
         iters = len(trace.objective_values) - 1
     else:
-        kind = {"optlat": BaselineKind.OPT_LATENCY,
-                "optearn": BaselineKind.OPT_EARNINGS,
-                "random": BaselineKind.RANDOM}[args.method]
-        alloc = run_baseline(kind, cfg, users, servers, opts)
+        alloc = run_baseline(BaselineKind(args.method), cfg, users, servers, opts)
         iters = 1
 
     norm = harness.opt_earnings_total(cfg, users)
@@ -151,6 +148,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     within = 0
     bound_ok = 0
     worst_ratio = 1.0
+    sdp_iterations = 0
     for i in range(args.instances):
         scen = dataclasses.replace(
             spec,
@@ -168,12 +166,14 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
         worst_ratio = max(worst_ratio, ratio)
         bound_ok += sdr.lower_bound <= best + 1e-6
         within += ratio <= 1.05
+        sdp_iterations += sdr.solution.iterations
         print(f"instance {i:3d}: K={cfg.num_users} N={cfg.num_servers} "
               f"bound={sdr.lower_bound:.6g} rounded={report.best_objective:.6g} "
-              f"exact={best:.6g} ratio={ratio:.4f}")
+              f"exact={best:.6g} ratio={ratio:.4f} "
+              f"sdp_iters={sdr.solution.iterations}")
     print(f"summary: bound<=exact on {bound_ok}/{args.instances}, "
           f"rounded within 5% on {within}/{args.instances}, "
-          f"worst ratio {worst_ratio:.4f}")
+          f"worst ratio {worst_ratio:.4f}, sdp iterations {sdp_iterations}")
     return 0 if bound_ok == args.instances else 1
 
 

@@ -191,9 +191,7 @@ def _solve_method(method: str, cfg: SystemConfig, users, servers,
         iters = len(trace.objective_values) - 1
         gap = trace.sdr_gaps[-1] if trace.sdr_gaps else 0.0
         return alloc, iters, gap
-    kind = {"optlat": BaselineKind.OPT_LATENCY,
-            "optearn": BaselineKind.OPT_EARNINGS,
-            "random": BaselineKind.RANDOM}[method]
+    kind = BaselineKind(method)
     alloc = run_baseline(kind, cfg, users, servers, opts, association_solver=assoc_solver)
     return alloc, (1 if kind is BaselineKind.OPT_LATENCY else 0), 0.0
 

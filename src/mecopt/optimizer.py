@@ -58,8 +58,9 @@ class SolveOptions:
 class SolveTrace:
     """Per-outer-iteration record of a joint solve.
 
-    sdp_iterations and sdp_status describe the relaxation each outer
-    iteration used (its SdpSolution's iteration count and status value).
+    sdp_iterations, sdp_status, sdp_primal_residual and sdp_dual_residual
+    describe the relaxation each outer iteration used (its SdpSolution's
+    iteration count, status value and final residuals).
     """
 
     objective_values: List[float] = field(default_factory=list)
@@ -67,6 +68,8 @@ class SolveTrace:
     sdr_gaps: List[float] = field(default_factory=list)
     sdp_iterations: List[int] = field(default_factory=list)
     sdp_status: List[str] = field(default_factory=list)
+    sdp_primal_residual: List[float] = field(default_factory=list)
+    sdp_dual_residual: List[float] = field(default_factory=list)
     allocation: Optional[Allocation] = None
     method: str = "proposed"
 
@@ -166,6 +169,8 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
         trace.sdr_gaps.append(report.gap)
         trace.sdp_iterations.append(sdr.solution.iterations)
         trace.sdp_status.append(sdr.solution.status.value)
+        trace.sdp_primal_residual.append(sdr.solution.primal_residual)
+        trace.sdp_dual_residual.append(sdr.solution.dual_residual)
         candidate = report.best_assoc
         f_cand = total_objective(cfg, users, servers, powers, resolutions, candidate)
         if f_cand < f_cur:

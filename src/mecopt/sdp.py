@@ -1,22 +1,28 @@
 """Small dense semidefinite programs.
 
-Solves min Tr(C X) over symmetric X subject to trace equalities
-Tr(A_i X) = b_i, elementwise nonnegativity on a mask, at most one trace
-inequality Tr(Y X) <= 0, and X >= 0 (PSD), via consensus operator splitting
-(O'Donoghue et al., JOTA 2016): one variable copy per constraint group, each
-updated by an exact projection, tied together by an averaging step that
-carries the cost and a scaled dual update.
+Solves min Tr(C X) over symmetric X in the intersection of the PSD cone with
+a few convex sets that each have an exact Frobenius projection, via
+consensus operator splitting (O'Donoghue et al., JOTA 2016): one variable
+copy per set, each updated by its projection, tied together by an averaging
+step that carries the cost and a scaled dual update.
 
-An iteration costs one symmetric eigendecomposition plus elementwise work:
+A problem names its sets through ``constraint_sets()``; the cone is always
+added last. ``SdpProblem`` is the generic form: trace equalities
+Tr(A_i X) = b_i, elementwise nonnegativity on a mask and at most one trace
+inequality Tr(Y X) <= 0, split into two sets:
 
 - affine step: the equalities and the half-space only involve the entries
   where some A_i or Y is nonzero (their support), so the projection reads
   those entries, applies a cached least-squares step to the constraint
   operator restricted to them, and leaves every other entry as it was;
-- mask step: clamping the masked entries at zero;
-- cone step: one eigendecomposition, after which only the negative
-  eigenpairs are subtracted, since near a solution few eigenvalues are
-  negative.
+- mask step: clamping the masked entries at zero.
+
+A problem whose non-cone constraints form one set with a closed-form
+projection (the association relaxation's assignment polytope) supplies that
+set instead and runs with two copies. Either way an iteration costs one
+symmetric eigendecomposition, in the cone step, after which only the
+negative eigenpairs are subtracted since near a solution few eigenvalues are
+negative, plus elementwise work.
 
 Problem sizes here are two- to three-digit dimensions; everything is plain
 dense numpy.
@@ -27,15 +33,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "AsymmetricMatrixError",
+    "ConstraintSet",
     "SdpProblem",
     "SdpSolution",
     "SdpStatus",
+    "SplitProblem",
     "project_psd",
     "solve_sdp",
 ]
@@ -82,6 +90,31 @@ def project_psd(a: np.ndarray) -> np.ndarray:
     return _clamp_negative(_check_symmetric(a))
 
 
+class ConstraintSet(Protocol):
+    """A convex set solve_sdp splits over, given by its exact projection.
+
+    violations(x) returns the largest relative equality residual and the
+    excess over the trace inequality at x; nonnegativity is checked on the
+    problem's nonneg_mask instead, so a set of sign constraints reports zeros.
+    """
+
+    def project(self, v: np.ndarray) -> np.ndarray: ...
+
+    def violations(self, x: np.ndarray) -> Tuple[float, float]: ...
+
+
+class SplitProblem(Protocol):
+    """What solve_sdp reads from a problem: its dimension, a symmetric cost,
+    the mask its sign residual is checked on (or None), and the constraint
+    sets whose intersection with the PSD cone is the feasible set."""
+
+    dim: int
+    cost: np.ndarray
+    nonneg_mask: Optional[np.ndarray]
+
+    def constraint_sets(self) -> List[ConstraintSet]: ...
+
+
 @dataclass(frozen=True)
 class SdpProblem:
     """One SDP instance of the shape described in the module docstring.
@@ -123,6 +156,15 @@ class SdpProblem:
         object.__setattr__(self, "eq_constraints", tuple(eqs))
         object.__setattr__(self, "nonneg_mask", mask)
         object.__setattr__(self, "trace_ineq", ineq)
+
+    def constraint_sets(self) -> List[ConstraintSet]:
+        """The affine step (equalities and half-space), then the mask step."""
+        sets: List[ConstraintSet] = []
+        if self.eq_constraints or self.trace_ineq is not None:
+            sets.append(_AffineStep(self))
+        if self.nonneg_mask is not None:
+            sets.append(_MaskStep(self.nonneg_mask))
+        return sets
 
 
 class SdpStatus(Enum):
@@ -201,14 +243,28 @@ class _AffineStep:
         return eq_v, ineq_v
 
 
-def solve_sdp(prob: SdpProblem, tol: float = 1e-6, max_iter: int = 20000,
+class _MaskStep:
+    """Exact projection onto X >= 0 on the mask: clamp the masked entries."""
+
+    def __init__(self, mask: np.ndarray) -> None:
+        self.free = np.flatnonzero(~mask)
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        w = np.maximum(v, 0.0)
+        w.reshape(-1)[self.free] = v.reshape(-1)[self.free]
+        return w
+
+    def violations(self, x: np.ndarray) -> Tuple[float, float]:
+        return 0.0, 0.0
+
+
+def solve_sdp(prob: SplitProblem, tol: float = 1e-6, max_iter: int = 20000,
               rho: float = 1.0, initial: Optional[np.ndarray] = None) -> SdpSolution:
     """Run the splitting iteration until feasibility and consensus reach tol.
 
-    Each iteration projects one copy per constraint group: the affine step
-    (equalities and half-space) moves only the entries in the constraints'
-    support, the mask step clamps the masked entries, and the cone step takes
-    one eigendecomposition and subtracts the negative eigenpairs. The
+    prob is an SdpProblem or any other SplitProblem. Each iteration projects
+    one copy onto each of its constraint sets and one onto the cone, which
+    takes one eigendecomposition and subtracts the negative eigenpairs. The
     averaged iterate then carries the cost, and the scaled duals move by
     each copy's distance from it.
 
@@ -222,18 +278,9 @@ def solve_sdp(prob: SdpProblem, tol: float = 1e-6, max_iter: int = 20000,
     cost = prob.cost
     c_scale = float(np.linalg.norm(cost))
     cost_n = cost / c_scale if c_scale > 0 else cost
-
-    affine = None
     mask = prob.nonneg_mask
-    kinds = []
-    if prob.eq_constraints or prob.trace_ineq is not None:
-        kinds.append("affine")
-        affine = _AffineStep(prob)
-    if mask is not None:
-        kinds.append("mask")
-        free = np.flatnonzero(~mask)
-    kinds.append("psd")
-    ns = len(kinds)
+    sets = prob.constraint_sets()
+    ns = len(sets) + 1  # the cone's copy is the last
 
     if initial is not None:
         z = 0.5 * (np.asarray(initial, dtype=float) + np.asarray(initial, dtype=float).T)
@@ -242,8 +289,8 @@ def solve_sdp(prob: SdpProblem, tol: float = 1e-6, max_iter: int = 20000,
         z = z.copy()
     else:
         z = np.zeros((n, n))
-    duals = [np.zeros((n, n)) for _ in kinds]
-    copies = [np.zeros((n, n)) for _ in kinds]
+    duals = [np.zeros((n, n)) for _ in range(ns)]
+    copies = [np.zeros((n, n)) for _ in range(ns)]
     buf = np.empty((n, n))
     cost_step = cost_n / (ns * rho)
 
@@ -255,16 +302,9 @@ def solve_sdp(prob: SdpProblem, tol: float = 1e-6, max_iter: int = 20000,
     it = 0
 
     for it in range(1, max_iter + 1):
-        for i, kind in enumerate(kinds):
-            v = z - duals[i]
-            if kind == "affine":
-                w = affine.project(v)
-            elif kind == "mask":
-                w = np.maximum(v, 0.0)
-                w.reshape(-1)[free] = v.reshape(-1)[free]
-            else:
-                w = _clamp_negative(v)
-            copies[i] = w
+        for i, step in enumerate(sets):
+            copies[i] = step.project(z - duals[i])
+        copies[-1] = _clamp_negative(z - duals[-1])
 
         z_new = copies[0] + duals[0]
         for i in range(1, ns):
@@ -281,7 +321,10 @@ def solve_sdp(prob: SdpProblem, tol: float = 1e-6, max_iter: int = 20000,
             prim = max(float(np.linalg.norm(c - z_new)) for c in copies)
             dual = rho * math.sqrt(ns) * float(np.linalg.norm(z_new - z))
             prim_n, dual_n = prim / den, dual / den
-            eq_v, ineq_v = affine.violations(z_new) if affine is not None else (0.0, 0.0)
+            eq_v = ineq_v = 0.0
+            for step in sets:
+                set_eq, set_ineq = step.violations(z_new)
+                eq_v, ineq_v = max(eq_v, set_eq), max(ineq_v, set_ineq)
             mask_v = max(0.0, -float(z_new[mask].min())) if mask is not None and mask.any() else 0.0
             eig_lo = float(np.linalg.eigvalsh(z_new)[0])
             den_x = max(float(np.linalg.norm(z_new)), 1e-12)

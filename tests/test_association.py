@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mecopt.association import (InstanceTooLargeError, association_objective,
-                                brute_force_association, build_qcqp,
-                                gaussian_randomize, solve_association_sdr)
+from mecopt.association import (InstanceTooLargeError, _AssignmentPolytope, _sdr_cost,
+                                association_objective, brute_force_association,
+                                build_qcqp, gaussian_randomize, solve_association_sdr)
 from mecopt.model import Association, ServerProfile, per_user_latency
+from mecopt.sdp import SdpProblem, SdpStatus, _AffineStep, solve_sdp
 from helpers import make_cfg, make_user, random_one_hot, small_scenario
 
 
@@ -113,6 +114,102 @@ def test_build_rejects_out_of_range_resolutions():
     cfg, users, servers = small_scenario(25, 2, 2)
     with pytest.raises(ValueError):
         build_qcqp(cfg, users, servers, np.full(len(users), cfg.s_max_px * 2))
+
+
+def _generic_relaxation(inst):
+    """The association relaxation as a generic SdpProblem: the dense row-sum
+    matrices, the corner, the sign mask and the binarity half-space."""
+    dim = inst.a_dim + 1
+    corner = np.zeros((dim, dim))
+    corner[-1, -1] = 1.0
+    mask = np.ones((dim, dim), dtype=bool)
+    mask[-1, -1] = False
+    eqs = [(g, 1.0) for g in inst.g_matrices] + [(corner, 1.0)]
+    return SdpProblem(dim=dim, cost=_sdr_cost(inst), eq_constraints=eqs,
+                      nonneg_mask=mask, trace_ineq=inst.y_matrix)
+
+
+def _uniform_instance(k, n):
+    cfg = make_cfg(num_users=k, num_servers=n)
+    return build_qcqp(cfg, [make_user()] * k, [ServerProfile(1e12)] * n, [2e6] * k)
+
+
+def _dykstra_projection(prob, v, iters=1000):
+    """Dykstra's alternating projections between the affine step and the
+    mask clamp; converges to the projection onto their intersection."""
+    affine = _AffineStep(prob)
+    mask = prob.nonneg_mask
+    x, p, q = v.copy(), np.zeros_like(v), np.zeros_like(v)
+    for _ in range(iters):
+        y = affine.project(x + p)
+        p = x + p - y
+        x = np.where(mask, np.maximum(y + q, 0.0), y + q)
+        q = y + q - x
+    return x
+
+
+def _polytope_cases(rng, count):
+    """Random symmetric inputs for K in 1..5, N in 1..4, with the half-space
+    pushed active, tied border entries and an all-negative user block mixed in."""
+    for trial in range(count):
+        k = int(rng.integers(1, 6))
+        n = 1 if trial % 5 == 0 else int(rng.integers(1, 5))
+        m = k * n
+        a = rng.standard_normal((m + 1, m + 1)) * rng.uniform(0.1, 3.0)
+        v = a + a.T
+        kind = trial % 4
+        if kind == 0:
+            v[np.arange(m), np.arange(m)] -= 2.0
+        elif kind == 1:
+            v[:m, m] = v[m, :m] = np.repeat(rng.standard_normal(k), n)
+        elif kind == 2:
+            user = int(rng.integers(0, k))
+            block = -np.abs(rng.standard_normal(n)) - 0.1
+            v[user * n:(user + 1) * n, m] = v[m, user * n:(user + 1) * n] = block
+        yield k, n, v
+
+
+def test_polytope_projection_matches_dykstra(rng):
+    active = inactive = single_server = 0
+    for k, n, v in _polytope_cases(rng, 60):
+        m = k * n
+        inst = _uniform_instance(k, n)
+        got = _AssignmentPolytope(k, n).project(v)
+        want = _dykstra_projection(_generic_relaxation(inst), v)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(v).max())
+        if np.maximum(np.diagonal(v)[:m], 0.0).sum() < k:
+            active += 1
+            assert np.trace(got[:m, :m]) == pytest.approx(k, rel=1e-12)
+        else:
+            inactive += 1
+        single_server += n == 1
+    assert active and inactive and single_server
+
+
+def test_polytope_violations_match_affine_step(rng):
+    for k, n, v in _polytope_cases(rng, 40):
+        want = _AffineStep(_generic_relaxation(_uniform_instance(k, n))).violations(v)
+        got = _AssignmentPolytope(k, n).violations(v)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * np.abs(v).max())
+
+
+def test_polytope_projection_is_idempotent(rng):
+    for k, n, v in _polytope_cases(rng, 40):
+        polytope = _AssignmentPolytope(k, n)
+        once = polytope.project(v)
+        assert np.abs(polytope.project(once) - once).max() <= 1e-14 * max(1.0, np.abs(v).max())
+        eq_v, ineq_v = polytope.violations(once)
+        assert eq_v <= 1e-14 and ineq_v <= 1e-14 * k
+
+
+def test_relaxation_matches_generic_sdp_problem(rng):
+    cfg, users, servers = small_scenario(32, 4, 3)
+    res_px = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
+    inst = build_qcqp(cfg, users, servers, res_px)
+    fast = solve_association_sdr(inst, tol=1e-8)
+    generic = solve_sdp(_generic_relaxation(inst), tol=1e-8)
+    assert fast.solution.status is generic.status is SdpStatus.CONVERGED
+    assert fast.lower_bound == pytest.approx(generic.objective, rel=1e-6)
 
 
 def test_sdr_concentrates_on_fast_server():

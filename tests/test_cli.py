@@ -38,6 +38,10 @@ def test_oracle_compare_small(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "bound<=exact on 3/3" in out
+    lines = out.splitlines()
+    per_instance = [int(line.rsplit("sdp_iters=", 1)[1]) for line in lines[:-1]]
+    assert len(per_instance) == 3 and min(per_instance) > 0
+    assert lines[-1].endswith(f"sdp iterations {sum(per_instance)}")
 
 
 def test_fit_earnings_roundtrip(tmp_path, capsys):

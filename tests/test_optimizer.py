@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mecopt.association import solve_association_sdr
 from mecopt.earnings import DEFAULT_PARAMS
 from mecopt.model import ServerProfile, total_objective
 from mecopt.optimizer import (BaselineKind, SolveOptions, auto_normalized_config,
@@ -51,6 +52,25 @@ def test_trace_records_sdp_iteration_cap():
     outer = len(trace.objective_values) - 1
     assert trace.sdp_status == ["iteration_cap"] * outer
     assert trace.sdp_iterations == [10] * outer
+
+
+def test_trace_records_sdp_residuals():
+    cfg, users, servers = small_scenario(61, 5, 3, weight_omega=2.75)
+    solutions = []
+
+    def recording_solver(inst, opts, initial):
+        sdr = solve_association_sdr(inst, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter,
+                                    initial=initial)
+        solutions.append(sdr.solution)
+        return sdr
+
+    opts = SolveOptions(rng_seed=2, rand_samples_l=100, **FAST)
+    _, trace = solve_joint(cfg, users, servers, opts, association_solver=recording_solver)
+    assert len(solutions) == len(trace.objective_values) - 1
+    assert trace.sdp_iterations == [s.iterations for s in solutions]
+    assert trace.sdp_primal_residual == [s.primal_residual for s in solutions]
+    assert trace.sdp_dual_residual == [s.dual_residual for s in solutions]
+    assert all(0.0 <= r < opts.sdp_tol for r in trace.sdp_primal_residual + trace.sdp_dual_residual)
 
 
 def test_accepted_objective_sequence_never_increases():
