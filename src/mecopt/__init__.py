@@ -7,7 +7,7 @@ from .earnings import (DEFAULT_PARAMS, EarnFamily, EarnParams, check_assumption1
                        normalize_input)
 from .model import (Allocation, Association, ServerProfile, SystemConfig,
                     UserProfile, evaluate_allocation, snap_resolution,
-                    total_objective, user_utility, validate_association)
+                    total_objective, validate_association)
 from .power import (EnergyInfeasibleError, PowerBinding, PowerSolution, WBranch,
                     energy_root_oracle, feasibility_ratio, lambert_w,
                     optimal_power)

@@ -224,7 +224,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_sweep.add_argument("--grid", help="comma-separated sweep values")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--samples", type=int, default=1000)
-    p_sweep.add_argument("--sdp-tol", type=float, default=3e-4)
+    p_sweep.add_argument("--sdp-tol", type=float, default=SolveOptions.sdp_tol)
     p_sweep.add_argument("--timings", action="store_true",
                          help="write measured wall times (breaks byte determinism)")
     p_sweep.add_argument("--large", action="store_true",

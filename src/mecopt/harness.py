@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .association import SdrResult
-from .earnings import DEFAULT_PARAMS, EarnFamily, eval_earning, normalize_input
-from .model import ServerProfile, SystemConfig, UserProfile
+from .earnings import EarnFamily
+from .model import ServerProfile, SystemConfig, UserProfile, user_earnings
 from .optimizer import (BaselineKind, SolveOptions, memoized_association_solver,
                         run_baseline, solve_joint)
 from .power import feasibility_ratio
@@ -177,10 +177,7 @@ class ResultRow:
 
 def opt_earnings_total(cfg: SystemConfig, users: Sequence[UserProfile]) -> float:
     """Scenario-wide earnings at maximum resolution; the normalization anchor."""
-    return sum(
-        eval_earning(DEFAULT_PARAMS[u.earn_family], u.earn_scale,
-                     normalize_input(cfg, cfg.s_max_px, u.downlink_rate_bps))
-        for u in users)
+    return float(user_earnings(cfg, users, np.full(len(users), cfg.s_max_px)).sum())
 
 
 def _solve_method(method: str, cfg: SystemConfig, users, servers,
@@ -198,8 +195,8 @@ def _solve_method(method: str, cfg: SystemConfig, users, servers,
 
 def run_sweep(kind: SweepKind, spec: ScenarioSpec, methods: Sequence[str],
               grid: Sequence[float], num_seeds: int = 20,
-              rand_samples: int = 1000, sdp_tol: float = 3e-4,
-              sdp_max_iter: int = 2000) -> List[ResultRow]:
+              rand_samples: int = 1000, sdp_tol: float = SolveOptions.sdp_tol,
+              sdp_max_iter: int = SolveOptions.sdp_max_iter) -> List[ResultRow]:
     """Run every (grid point, seed, method) combination into result rows.
 
     Deterministic for a fixed spec: scenario seeds are spec.seed + i and all

@@ -3,7 +3,9 @@
 All operations are pure functions of their inputs. Rates follow the equal
 bandwidth-share Shannon model, compute latency follows the equal
 processor-share rule of the assigned edge server, and per-user utility is the
-weighted difference between earnings and total latency.
+weighted difference between earnings and total latency. evaluate_allocation
+is the one place that formula is computed, for all users at once;
+total_objective is its objective and user_earnings its earnings term.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .earnings import DEFAULT_PARAMS, EarnFamily, eval_earning, normalize_input
+from .earnings import DEFAULT_PARAMS, EarnFamily, _h
 
 __all__ = [
     "SystemConfig",
@@ -28,9 +30,8 @@ __all__ = [
     "dbm_per_hz_to_w_per_hz",
     "uplink_rate",
     "downlink_bits",
-    "per_user_latency",
     "transmit_energy",
-    "user_utility",
+    "user_earnings",
     "total_objective",
     "validate_association",
     "evaluate_allocation",
@@ -228,49 +229,41 @@ def transmit_energy(cfg: SystemConfig, user: UserProfile, power_w: float) -> flo
     return power_w * user.uplink_bits / uplink_rate(cfg, user, power_w)
 
 
-def per_user_latency(cfg: SystemConfig, users: Sequence[UserProfile],
-                     servers: Sequence[ServerProfile], powers: Sequence[float],
-                     resolutions: Sequence[float], association: Association,
-                     k: int) -> Tuple[float, float, float]:
-    """Uplink, downlink and compute latency of user k, in seconds."""
-    user = users[k]
-    p = float(powers[k])
-    if p <= 0:
-        raise ZeroRateError(f"user {k} has zero transmit power; uplink rate undefined")
-    l_up = user.uplink_bits / uplink_rate(cfg, user, p)
-    d_down = downlink_bits(cfg, user, float(resolutions[k]))
-    l_down = d_down / user.downlink_rate_bps
-    n = int(association.server_indices[k])
-    count = int(association.loads[n])
-    task_flops = cfg.lambda_up_flop_per_bit * user.uplink_bits \
-        + user.lambda_down_flop_per_bit * d_down
-    l_proc = task_flops * count / servers[n].compute_flops
-    return l_up, l_down, l_proc
+def _per_user(users: Sequence[UserProfile], name: str) -> np.ndarray:
+    return np.array([getattr(u, name) for u in users], dtype=float)
 
 
-def _user_earning(cfg: SystemConfig, user: UserProfile, resolution_px: float) -> float:
-    x = normalize_input(cfg, resolution_px, user.downlink_rate_bps)
-    return eval_earning(DEFAULT_PARAMS[user.earn_family], user.earn_scale, x)
+def user_earnings(cfg: SystemConfig, users: Sequence[UserProfile],
+                  resolutions: Sequence[float]) -> np.ndarray:
+    """Each user's earnings tau * h(x) at the given resolutions.
 
-
-def user_utility(cfg: SystemConfig, users: Sequence[UserProfile],
-                 servers: Sequence[ServerProfile], powers: Sequence[float],
-                 resolutions: Sequence[float], association: Association,
-                 k: int) -> float:
-    """Weighted earnings-minus-latency utility of user k."""
-    l_up, l_down, l_proc = per_user_latency(
-        cfg, users, servers, powers, resolutions, association, k)
-    earn = _user_earning(cfg, users[k], float(resolutions[k]))
-    return cfg.eta_earn * earn - cfg.eta_lat * cfg.weight_omega * (l_up + l_down + l_proc)
+    x is the normalized resolution-plus-bitrate input of
+    :func:`normalize_input`, with the same range checks; h is evaluated once
+    per earning family over that family's users.
+    """
+    res = np.asarray(resolutions, dtype=float)
+    rate = _per_user(users, "downlink_rate_bps")
+    bad = np.flatnonzero(~((res >= 0) & (res <= cfg.res_norm_px)))
+    if bad.size:
+        raise ValueError(f"resolution {res[bad[0]]} outside [0, {cfg.res_norm_px}]")
+    bad = np.flatnonzero(~((rate >= 0) & (rate <= cfg.rate_norm_bps)))
+    if bad.size:
+        raise ValueError(f"rate {rate[bad[0]]} outside [0, {cfg.rate_norm_bps}]")
+    x = np.minimum(0.5 * res / cfg.res_norm_px + 0.5 * rate / cfg.rate_norm_bps, 1.0)
+    tau = _per_user(users, "earn_scale")
+    earn = np.empty(len(users))
+    for family, params in DEFAULT_PARAMS.items():
+        mine = np.array([u.earn_family is family for u in users], dtype=bool)
+        earn[mine] = tau[mine] * _h(params, x[mine])
+    return earn
 
 
 def total_objective(cfg: SystemConfig, users: Sequence[UserProfile],
                     servers: Sequence[ServerProfile], powers: Sequence[float],
                     resolutions: Sequence[float], association: Association) -> float:
     """Negated sum of user utilities; the quantity the solvers minimize."""
-    return -sum(
-        user_utility(cfg, users, servers, powers, resolutions, association, k)
-        for k in range(len(users)))
+    return evaluate_allocation(cfg, users, servers, powers, resolutions,
+                               association).objective
 
 
 @dataclass(frozen=True)
@@ -291,36 +284,50 @@ class Allocation:
     def total_latency_s(self) -> np.ndarray:
         return self.latency_up_s + self.latency_down_s + self.latency_proc_s
 
-    @property
-    def snapped_resolutions(self) -> List[Tuple[str, int]]:
-        return [snap_resolution(float(s)) for s in self.resolutions]
-
 
 def evaluate_allocation(cfg: SystemConfig, users: Sequence[UserProfile],
                         servers: Sequence[ServerProfile], powers: Sequence[float],
                         resolutions: Sequence[float],
                         association: Association) -> Allocation:
-    """Evaluate a candidate solution and bundle all derived quantities."""
+    """Evaluate a candidate solution and bundle all derived quantities.
+
+    User k's latency is its uplink payload over its uplink rate, its
+    downlink payload over its downlink rate, and its task FLOPs times its
+    server's user count over the server's compute rate. Its utility is
+    eta_earn times its earnings minus eta_lat * omega times that latency.
+    """
     k_total = len(users)
     powers = np.asarray(powers, dtype=float)
     resolutions = np.asarray(resolutions, dtype=float)
     if powers.shape != (k_total,) or resolutions.shape != (k_total,):
         raise ValueError("powers/resolutions must have one entry per user")
+    if association.assign.shape != (k_total, len(servers)):
+        raise ValueError(f"association has shape {association.assign.shape}, "
+                         f"expected ({k_total}, {len(servers)})")
     slack = 1e-9
-    for k, user in enumerate(users):
-        if not 0 < powers[k] <= user.power_cap_w * (1 + slack):
-            raise ValueError(f"user {k} power {powers[k]} outside (0, p_max]")
-        if not cfg.s_min_px * (1 - slack) <= resolutions[k] <= cfg.s_max_px * (1 + slack):
-            raise ValueError(f"user {k} resolution {resolutions[k]} outside bounds")
+    zero = np.flatnonzero(powers <= 0)
+    if zero.size:
+        raise ZeroRateError(
+            f"user {zero[0]} has zero transmit power; uplink rate undefined")
+    bad = np.flatnonzero(~(powers <= _per_user(users, "power_cap_w") * (1 + slack)))
+    if bad.size:
+        raise ValueError(f"user {bad[0]} power {powers[bad[0]]} outside (0, p_max]")
+    bad = np.flatnonzero(~((resolutions >= cfg.s_min_px * (1 - slack))
+                           & (resolutions <= cfg.s_max_px * (1 + slack))))
+    if bad.size:
+        raise ValueError(
+            f"user {bad[0]} resolution {resolutions[bad[0]]} outside bounds")
 
-    l_up = np.empty(k_total)
-    l_down = np.empty(k_total)
-    l_proc = np.empty(k_total)
-    earn = np.empty(k_total)
-    for k in range(k_total):
-        l_up[k], l_down[k], l_proc[k] = per_user_latency(
-            cfg, users, servers, powers, resolutions, association, k)
-        earn[k] = _user_earning(cfg, users[k], float(resolutions[k]))
+    uplink_bits = _per_user(users, "uplink_bits")
+    l_up = uplink_bits / np.array([uplink_rate(cfg, u, p) for u, p in zip(users, powers)])
+    d_down = STEREO_BITS_PER_PIXEL * resolutions / _per_user(users, "compression_ratio")
+    l_down = d_down / _per_user(users, "downlink_rate_bps")
+    task_flops = cfg.lambda_up_flop_per_bit * uplink_bits \
+        + _per_user(users, "lambda_down_flop_per_bit") * d_down
+    idx = association.server_indices
+    flops = np.array([s.compute_flops for s in servers], dtype=float)
+    l_proc = task_flops * np.bincount(idx, minlength=len(servers))[idx] / flops[idx]
+    earn = user_earnings(cfg, users, resolutions)
     utility = cfg.eta_earn * earn \
         - cfg.eta_lat * cfg.weight_omega * (l_up + l_down + l_proc)
     return Allocation(

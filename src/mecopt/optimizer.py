@@ -17,9 +17,10 @@ import numpy as np
 
 from .association import (QcqpInstance, SdrResult, _sdr_cost, build_qcqp,
                           gaussian_randomize, solve_association_sdr)
-from .earnings import DEFAULT_PARAMS, eval_earning, normalize_input
+from .earnings import DEFAULT_PARAMS
 from .model import (Allocation, Association, ServerProfile, SystemConfig,
-                    UserProfile, evaluate_allocation, total_objective)
+                    UserProfile, evaluate_allocation, total_objective,
+                    user_earnings)
 from .power import optimal_power
 from .resolution import make_subproblem, optimal_resolution
 
@@ -44,8 +45,8 @@ class SolveOptions:
     rand_samples_l: int = 1000
     rng_seed: int = 0
     init_resolution: Optional[float] = None
-    sdp_tol: float = 1e-6
-    sdp_max_iter: int = 20000
+    sdp_tol: float = 3e-4
+    sdp_max_iter: int = 2000
 
     def __post_init__(self) -> None:
         if not self.tol_rel > 0:
@@ -70,8 +71,6 @@ class SolveTrace:
     sdp_status: List[str] = field(default_factory=list)
     sdp_primal_residual: List[float] = field(default_factory=list)
     sdp_dual_residual: List[float] = field(default_factory=list)
-    allocation: Optional[Allocation] = None
-    method: str = "proposed"
 
 
 class BaselineKind(Enum):
@@ -155,7 +154,7 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
     resolutions = np.full(len(users), float(init_s))
     assoc = round_robin_association(len(users), len(servers))
 
-    trace = SolveTrace(method="proposed")
+    trace = SolveTrace()
     f_cur = total_objective(cfg, users, servers, powers, resolutions, assoc)
     trace.objective_values.append(f_cur)
 
@@ -188,9 +187,7 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
         if abs(f_new - f_prev) <= opts.tol_rel * abs(f_prev):
             break
 
-    allocation = evaluate_allocation(cfg, users, servers, powers, resolutions, assoc)
-    trace.allocation = allocation
-    return allocation, trace
+    return evaluate_allocation(cfg, users, servers, powers, resolutions, assoc), trace
 
 
 _BASELINE_SEED_TAG = {
@@ -248,10 +245,7 @@ def auto_normalized_config(cfg: SystemConfig, users: Sequence[UserProfile],
     the trade-off weight spans a balanced range. Off by default; the
     resulting weights are carried in the returned config.
     """
-    total_earn = sum(
-        eval_earning(DEFAULT_PARAMS[u.earn_family], u.earn_scale,
-                     normalize_input(cfg, cfg.s_max_px, u.downlink_rate_bps))
-        for u in users)
+    total_earn = float(user_earnings(cfg, users, np.full(len(users), cfg.s_max_px)).sum())
     powers = _prop1_powers(cfg, users)
     assoc = round_robin_association(len(users), len(servers))
     resolutions = np.full(len(users), cfg.s_min_px)

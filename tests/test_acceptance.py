@@ -14,7 +14,7 @@ from mecopt.association import (brute_force_association, build_qcqp,
                                 gaussian_randomize, solve_association_sdr)
 from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, eval_earning, fit_params
 from mecopt.harness import ScenarioSpec, SweepKind, emit_results, run_sweep
-from mecopt.model import per_user_latency
+from mecopt.model import evaluate_allocation
 from mecopt.optimizer import SolveOptions, solve_joint
 from mecopt.power import (WBranch, energy_root_oracle, feasibility_ratio,
                           lambert_w, optimal_power)
@@ -78,9 +78,8 @@ def test_ac03_quadratic_form_equivalence():
             assoc = random_one_hot(rng, k, n)
             a = assoc.assign.astype(float).ravel()
             quad = inst.scale * float(a @ inst.p_matrix @ a)
-            total = inst.scale * sum(
-                per_user_latency(cfg, users, servers, powers, res, assoc, i)[2]
-                for i in range(k))
+            total = inst.scale * evaluate_allocation(
+                cfg, users, servers, powers, res, assoc).latency_proc_s.sum()
             worst = max(worst, abs(quad - total) / abs(total))
             checked += 1
     _report("quadratic-form-equivalence", checked == 1000 and worst < 1e-9,

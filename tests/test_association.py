@@ -6,7 +6,7 @@ import pytest
 from mecopt.association import (InstanceTooLargeError, _AssignmentPolytope, _sdr_cost,
                                 association_objective, brute_force_association,
                                 build_qcqp, gaussian_randomize, solve_association_sdr)
-from mecopt.model import Association, ServerProfile, per_user_latency
+from mecopt.model import Association, ServerProfile, evaluate_allocation
 from mecopt.sdp import SdpProblem, SdpStatus, _AffineStep, solve_sdp
 from helpers import make_cfg, make_user, random_one_hot, small_scenario
 
@@ -69,9 +69,8 @@ def test_quadratic_form_matches_latency_model(rng):
         a = _binary_vector(assoc)
         quad = inst.scale * (a @ inst.p_matrix @ a)
         powers = np.full(k, 0.1)
-        total = sum(
-            per_user_latency(cfg, users, servers, powers, res, assoc, i)[2]
-            for i in range(k))
+        total = evaluate_allocation(
+            cfg, users, servers, powers, res, assoc).latency_proc_s.sum()
         assert quad == pytest.approx(inst.scale * total, rel=1e-9)
         assert association_objective(inst, assoc) == pytest.approx(quad, rel=1e-9)
 

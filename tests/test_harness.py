@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mecopt.harness import (CSV_HEADER, ResultRow, ScenarioSpec, SweepKind,
                             emit_results, generate_scenario, opt_earnings_total,
                             path_loss_gain, run_sweep)
+from mecopt.optimizer import SolveOptions
 from mecopt.power import feasibility_ratio
 from helpers import spearman
 
@@ -146,6 +148,20 @@ def test_sweep_csv_byte_determinism(tmp_path):
                          [1.0, 3.0], num_seeds=2, **FAST_SWEEP)
         emit_results(rows, out)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_optearn_rows_are_the_earnings_anchor():
+    spec = ScenarioSpec(seed=21000, num_users=10, num_servers=4)
+    rows = run_sweep(SweepKind.OMEGA, spec, ["optearn"], [0.5, 1.0, 2.0, 3.0, 5.0],
+                     num_seeds=10)
+    assert len(rows) == 50
+    assert all(r.mean_earnings_norm == 1.0 for r in rows)
+
+
+def test_sweep_uses_the_solver_sdp_defaults():
+    params = inspect.signature(run_sweep).parameters
+    assert params["sdp_tol"].default == SolveOptions().sdp_tol
+    assert params["sdp_max_iter"].default == SolveOptions().sdp_max_iter
 
 
 def test_opt_earnings_total_positive():

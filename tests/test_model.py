@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecopt.earnings import DEFAULT_PARAMS, eval_earning, normalize_input
+from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, eval_earning, normalize_input
 from mecopt.model import (Association, AssociationError, ServerProfile,
                           SystemConfig, ZeroRateError, downlink_bits,
-                          evaluate_allocation, per_user_latency, snap_resolution,
+                          evaluate_allocation, snap_resolution,
                           total_objective, transmit_energy, uplink_rate,
-                          user_utility, validate_association)
-from helpers import make_cfg, make_user, random_one_hot
+                          validate_association)
+from helpers import make_cfg, make_user, random_one_hot, small_scenario
 
 # (B/K) * log2(1 + g p / (B sigma^2 / K)) at B=20 MHz, K=10, g=1e-10,
 # p=0.1 W, sigma^2=10^-16.4 W/Hz, evaluated at 50 decimal digits
@@ -64,8 +64,8 @@ def test_compute_latency_single_user_one_gigaflop():
                      lambda_down_flop_per_bit=5e3)
     servers = [ServerProfile(1e12)]
     assoc = Association.from_server_indices([0], 1)
-    _, _, l_proc = per_user_latency(cfg, [user], servers, [0.1], [1e6], assoc, 0)
-    assert l_proc == pytest.approx(1e-3, rel=1e-12)
+    alloc = evaluate_allocation(cfg, [user], servers, [0.1], [1e6], assoc)
+    assert alloc.latency_proc_s[0] == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_compute_latency_doubles_when_sharing():
@@ -75,8 +75,8 @@ def test_compute_latency_doubles_when_sharing():
     alone = Association.from_server_indices([0, 1], 2)
     shared = Association.from_server_indices([0, 0], 2)
     powers, res = [0.1, 0.1], [2e6, 2e6]
-    _, _, l_alone = per_user_latency(cfg, users, servers, powers, res, alone, 0)
-    _, _, l_shared = per_user_latency(cfg, users, servers, powers, res, shared, 0)
+    l_alone = evaluate_allocation(cfg, users, servers, powers, res, alone).latency_proc_s[0]
+    l_shared = evaluate_allocation(cfg, users, servers, powers, res, shared).latency_proc_s[0]
     assert l_shared == pytest.approx(2 * l_alone, rel=1e-12)
 
 
@@ -86,8 +86,8 @@ def test_downlink_latency_linear_in_resolution():
     servers = [ServerProfile(1e12)]
     assoc = Association.from_server_indices([0], 1)
     s = 3e6
-    _, l1, _ = per_user_latency(cfg, [user], servers, [0.1], [s], assoc, 0)
-    _, l2, _ = per_user_latency(cfg, [user], servers, [0.1], [2 * s], assoc, 0)
+    l1 = evaluate_allocation(cfg, [user], servers, [0.1], [s], assoc).latency_down_s[0]
+    l2 = evaluate_allocation(cfg, [user], servers, [0.1], [2 * s], assoc).latency_down_s[0]
     assert l2 == 2.0 * l1
 
 
@@ -104,6 +104,7 @@ def test_latency_matches_independent_formula_evaluation(rng):
     powers = rng.uniform(0.01, 0.2, 3)
     res = rng.uniform(cfg.s_min_px, cfg.s_max_px, 3)
     counts = [2, 1]
+    alloc = evaluate_allocation(cfg, users, servers, powers, res, assoc)
     for k in range(3):
         u = users[k]
         snr = u.channel_gain * powers[k] * cfg.num_users \
@@ -115,7 +116,7 @@ def test_latency_matches_independent_formula_evaluation(rng):
                 d_down / u.downlink_rate_bps,
                 (7e3 * u.uplink_bits + u.lambda_down_flop_per_bit * d_down)
                 * counts[n] / servers[n].compute_flops)
-        got = per_user_latency(cfg, users, servers, powers, res, assoc, k)
+        got = (alloc.latency_up_s[k], alloc.latency_down_s[k], alloc.latency_proc_s[k])
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -123,8 +124,8 @@ def test_latency_requires_positive_power():
     cfg = make_cfg(num_users=1, num_servers=1)
     assoc = Association.from_server_indices([0], 1)
     with pytest.raises(ZeroRateError):
-        per_user_latency(cfg, [make_user()], [ServerProfile(1e12)],
-                         [0.0], [1e6], assoc, 0)
+        evaluate_allocation(cfg, [make_user()], [ServerProfile(1e12)],
+                            [0.0], [1e6], assoc)
 
 
 def test_transmit_energy_one_second_case():
@@ -168,15 +169,16 @@ def _tiny_instance(rng, eta_earn=1.0, omega=1.0):
 def test_utility_with_earnings_switched_off(rng):
     cfg, users, servers, powers, res, assoc = _tiny_instance(rng, eta_earn=1e-12)
     cfg = make_cfg(num_users=2, num_servers=2, eta_earn=1e-300)
-    got = user_utility(cfg, users, servers, powers, res, assoc, 0)
-    lat = sum(per_user_latency(cfg, users, servers, powers, res, assoc, 0))
-    assert got == pytest.approx(-cfg.eta_lat * cfg.weight_omega * lat, rel=1e-12)
+    alloc = evaluate_allocation(cfg, users, servers, powers, res, assoc)
+    lat = alloc.total_latency_s[0]
+    assert alloc.per_user_utility[0] == pytest.approx(
+        -cfg.eta_lat * cfg.weight_omega * lat, rel=1e-12)
 
 
 def test_utility_with_latency_switched_off(rng):
     cfg, users, servers, powers, res, assoc = _tiny_instance(rng)
     cfg = make_cfg(num_users=2, num_servers=2, weight_omega=1e-300)
-    got = user_utility(cfg, users, servers, powers, res, assoc, 0)
+    got = evaluate_allocation(cfg, users, servers, powers, res, assoc).per_user_utility[0]
     earn = eval_earning(DEFAULT_PARAMS[users[0].earn_family], users[0].earn_scale,
                         normalize_input(cfg, res[0], users[0].downlink_rate_bps))
     assert got == pytest.approx(cfg.eta_earn * earn, rel=1e-12)
@@ -184,14 +186,14 @@ def test_utility_with_latency_switched_off(rng):
 
 def test_utility_equals_earnings_minus_latency_terms(rng):
     cfg, users, servers, powers, res, assoc = _tiny_instance(rng, omega=2.5)
+    alloc = evaluate_allocation(cfg, users, servers, powers, res, assoc)
     for k in range(2):
-        lat = sum(per_user_latency(cfg, users, servers, powers, res, assoc, k))
+        lat = alloc.total_latency_s[k]
         earn = eval_earning(
             DEFAULT_PARAMS[users[k].earn_family], users[k].earn_scale,
             normalize_input(cfg, res[k], users[k].downlink_rate_bps))
         want = cfg.eta_earn * earn - cfg.eta_lat * cfg.weight_omega * lat
-        assert user_utility(cfg, users, servers, powers, res, assoc, k) \
-            == pytest.approx(want, rel=1e-12)
+        assert alloc.per_user_utility[k] == pytest.approx(want, rel=1e-12)
 
 
 def test_total_objective_single_user_and_additivity(rng):
@@ -199,8 +201,8 @@ def test_total_objective_single_user_and_additivity(rng):
     user, server = make_user(), ServerProfile(1e12)
     assoc1 = Association.from_server_indices([0], 1)
     f1 = total_objective(cfg, [user], [server], [0.1], [2e6], assoc1)
-    assert f1 == pytest.approx(
-        -user_utility(cfg, [user], [server], [0.1], [2e6], assoc1, 0), rel=1e-12)
+    assert f1 == pytest.approx(-evaluate_allocation(
+        cfg, [user], [server], [0.1], [2e6], assoc1).per_user_utility[0], rel=1e-12)
 
     # duplicating the user onto its own identical server doubles the objective
     cfg2 = make_cfg(num_users=2, num_servers=2)
@@ -208,17 +210,16 @@ def test_total_objective_single_user_and_additivity(rng):
     f2 = total_objective(cfg2, [user, user], [server, server],
                          [0.1, 0.1], [2e6, 2e6], assoc2)
     # per-user bandwidth share halves, so recompute the single-user value
-    f1_shared = -user_utility(cfg2, [user, user], [server, server],
-                              [0.1, 0.1], [2e6, 2e6], assoc2, 0)
+    f1_shared = -evaluate_allocation(cfg2, [user, user], [server, server],
+                                     [0.1, 0.1], [2e6, 2e6], assoc2).per_user_utility[0]
     assert f2 == pytest.approx(2 * f1_shared, rel=1e-12)
 
 
 def test_total_objective_is_sum_of_utilities(rng):
     cfg, users, servers, powers, res, assoc = _tiny_instance(rng)
     total = total_objective(cfg, users, servers, powers, res, assoc)
-    parts = sum(user_utility(cfg, users, servers, powers, res, assoc, k)
-                for k in range(2))
-    assert total == pytest.approx(-parts, rel=1e-12)
+    parts = evaluate_allocation(cfg, users, servers, powers, res, assoc).per_user_utility
+    assert total == pytest.approx(-parts.sum(), rel=1e-12)
 
 
 def test_validate_association_cases():
@@ -257,6 +258,75 @@ def test_allocation_rejects_out_of_bounds(rng):
     with pytest.raises(ValueError):
         evaluate_allocation(cfg, users, servers, powers,
                             [cfg.s_max_px * 2, res[1]], assoc)
+    fast = [users[0], make_user(downlink_rate_bps=cfg.rate_norm_bps * 1.01)]
+    with pytest.raises(ValueError):
+        evaluate_allocation(cfg, fast, servers, powers, res, assoc)
+
+
+def test_allocation_rejects_association_of_wrong_shape():
+    cfg, users, servers = small_scenario(5, 4, 2)
+    powers = np.full(4, 0.1)
+    res = np.full(4, cfg.s_min_px)
+    assoc = Association.from_server_indices([0, 1, 0, 1], 2)
+    evaluate_allocation(cfg, users, servers, powers, res, assoc)
+    for indices, n in (([0, 1, 0, 1, 0], 2), ([0, 1], 2), ([0, 1, 0, 1], 3)):
+        with pytest.raises(ValueError, match="association has shape"):
+            evaluate_allocation(cfg, users, servers, powers, res,
+                                Association.from_server_indices(indices, n))
+        with pytest.raises(ValueError, match="association has shape"):
+            total_objective(cfg, users, servers, powers, res,
+                            Association.from_server_indices(indices, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 10 ** 6))
+def test_evaluator_matches_per_user_formula(k_total, n_total, seed):
+    rng = np.random.default_rng(seed)
+    cfg = make_cfg(num_users=k_total, num_servers=n_total,
+                   weight_omega=float(rng.uniform(0.5, 5.0)),
+                   eta_earn=float(rng.uniform(0.1, 3.0)),
+                   eta_lat=float(rng.uniform(0.1, 3.0)))
+    users = [make_user(channel_gain=10 ** rng.uniform(-12, -9),
+                       uplink_bits=rng.uniform(5e4, 2e5),
+                       compression_ratio=rng.uniform(300, 600),
+                       downlink_rate_bps=rng.uniform(10e6, 20e6),
+                       earn_scale=rng.uniform(0.5, 1.5),
+                       earn_family=list(EarnFamily)[rng.integers(3)],
+                       lambda_down_flop_per_bit=rng.uniform(1e3, 1e6))
+             for _ in range(k_total)]
+    servers = [ServerProfile(rng.uniform(1e12, 5e12)) for _ in range(n_total)]
+    powers = rng.uniform(1e-4, 0.2, k_total)
+    res = rng.uniform(cfg.s_min_px, cfg.s_max_px, k_total)
+    assoc = random_one_hot(rng, k_total, n_total)
+    alloc = evaluate_allocation(cfg, users, servers, powers, res, assoc)
+
+    utilities = []
+    for k, u in enumerate(users):
+        share = cfg.bandwidth_hz / cfg.num_users
+        rate = share * math.log1p(u.channel_gain * powers[k] / cfg.noise_power_w) \
+            / math.log(2.0)
+        d_down = 48.0 * res[k] / u.compression_ratio
+        n = int(np.flatnonzero(assoc.assign[k])[0])
+        load = int(assoc.assign[:, n].sum())
+        task = cfg.lambda_up_flop_per_bit * u.uplink_bits \
+            + u.lambda_down_flop_per_bit * d_down
+        lat = (u.uplink_bits / rate, d_down / u.downlink_rate_bps,
+               task * load / servers[n].compute_flops)
+        earn = eval_earning(DEFAULT_PARAMS[u.earn_family], u.earn_scale,
+                            normalize_input(cfg, res[k], u.downlink_rate_bps))
+        utility = cfg.eta_earn * earn \
+            - cfg.eta_lat * cfg.weight_omega * (lat[0] + lat[1] + lat[2])
+        assert (alloc.latency_up_s[k], alloc.latency_down_s[k],
+                alloc.latency_proc_s[k]) == lat
+        assert alloc.per_user_earnings[k] == earn
+        assert alloc.per_user_utility[k] == utility
+        utilities.append(utility)
+    if k_total < 8:
+        assert alloc.objective == -sum(utilities)
+    else:  # numpy sums eight or more terms in another order
+        assert abs(alloc.objective + math.fsum(utilities)) \
+            <= 1e-12 * math.fsum(abs(v) for v in utilities)
+    assert total_objective(cfg, users, servers, powers, res, assoc) == alloc.objective
 
 
 def test_snap_resolution_tiers():

@@ -3,6 +3,7 @@ import pytest
 
 from mecopt.association import solve_association_sdr
 from mecopt.earnings import DEFAULT_PARAMS
+from mecopt.harness import ScenarioSpec, generate_scenario
 from mecopt.model import ServerProfile, total_objective
 from mecopt.optimizer import (BaselineKind, SolveOptions, auto_normalized_config,
                               run_baseline, solve_joint)
@@ -71,6 +72,16 @@ def test_trace_records_sdp_residuals():
     assert trace.sdp_primal_residual == [s.primal_residual for s in solutions]
     assert trace.sdp_dual_residual == [s.dual_residual for s in solutions]
     assert all(0.0 <= r < opts.sdp_tol for r in trace.sdp_primal_residual + trace.sdp_dual_residual)
+
+
+def test_last_trace_objective_is_the_allocation_objective():
+    # 20 users: numpy sums the utilities pairwise, so a second summation
+    # order would disagree with the allocation in the last digit.
+    cfg, users, servers = generate_scenario(
+        ScenarioSpec(seed=3000, num_users=20, num_servers=5))
+    opts = SolveOptions(rng_seed=3000, sdp_tol=3e-4, sdp_max_iter=2000)
+    alloc, trace = solve_joint(cfg, users, servers, opts)
+    assert trace.objective_values[-1] == alloc.objective
 
 
 def test_accepted_objective_sequence_never_increases():
