@@ -11,7 +11,7 @@ from .model import (Allocation, Association, ServerProfile, SystemConfig,
 from .power import (EnergyInfeasibleError, PowerBinding, PowerSolution, WBranch,
                     energy_root_oracle, feasibility_ratio, lambert_w,
                     optimal_power)
-from .sdp import SdpProblem, SdpSolution, SdpStatus, project_psd, solve_sdp
+from .sdp import SdpSolution, SdpStatus, project_psd, solve_sdp
 from .association import (QcqpInstance, RoundingReport, SdrResult,
                           brute_force_association, build_qcqp,
                           gaussian_randomize, solve_association_sdr)

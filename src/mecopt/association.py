@@ -11,20 +11,21 @@ The relaxation's constraints other than B >= 0 (PSD) are the one-server row
 sums on the border, the corner B_nn = 1, the binarity half-space
 Tr(Y B) <= 0 and B >= 0 off the corner. Together they form a polytope with a
 closed-form projection (per-user simplex projections of the border plus a
-one-threshold water-fill on the diagonal), so solve_sdp splits the
-relaxation over two copies: that polytope and the PSD cone.
+one-threshold water-fill on the diagonal), so solve_association_sdr hands
+solve_sdp the cost and that one set, and the solver splits the relaxation
+over two copies: the polytope and the PSD cone.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import Association, SystemConfig, ServerProfile, UserProfile, downlink_bits
-from .sdp import ConstraintSet, SdpSolution, solve_sdp
+from .sdp import SdpSolution, solve_sdp
 
 __all__ = [
     "QcqpInstance",
@@ -204,26 +205,16 @@ class _AssignmentPolytope:
             np.fill_diagonal(w[:m, :m], diag)
         return w
 
-    def violations(self, x: np.ndarray) -> Tuple[float, float]:
-        """Largest row-sum or corner residual, and the half-space's excess."""
+    def violations(self, x: np.ndarray) -> Tuple[float, float, float]:
+        """Largest row-sum or corner residual, the most negative entry off
+        the corner, and the half-space's excess."""
         m = self.m
         border = 0.5 * (x[:m, m] + x[m, :m])
         rows = border.reshape(self.num_users, self.num_servers).sum(axis=1)
         eq_v = max(float(np.abs(rows - 1.0).max()), abs(float(x[m, m]) - 1.0))
+        sign_v = max(0.0, -min(float(x[:m].min()), float(x[m, :m].min())))
         ineq_v = max(0.0, float(border.sum() - np.trace(x[:m, :m])))
-        return eq_v, ineq_v
-
-
-class _Relaxation(NamedTuple):
-    """The association relaxation in the form solve_sdp takes."""
-
-    dim: int
-    cost: np.ndarray
-    nonneg_mask: np.ndarray
-    polytope: _AssignmentPolytope
-
-    def constraint_sets(self) -> List[ConstraintSet]:
-        return [self.polytope]
+        return eq_v, sign_v, ineq_v
 
 
 def solve_association_sdr(inst: QcqpInstance, tol: float = 1e-6,
@@ -231,12 +222,8 @@ def solve_association_sdr(inst: QcqpInstance, tol: float = 1e-6,
                           initial: Optional[np.ndarray] = None) -> SdrResult:
     """Solve the lifted relaxation; the objective is a lower bound on the
     best binary assignment's scaled compute latency."""
-    dim = inst.a_dim + 1
-    mask = np.ones((dim, dim), dtype=bool)
-    mask[-1, -1] = False
-    relaxation = _Relaxation(dim, _sdr_cost(inst), mask,
-                             _AssignmentPolytope(inst.num_users, inst.num_servers))
-    sol = solve_sdp(relaxation, tol=tol, max_iter=max_iter, initial=initial)
+    polytope = _AssignmentPolytope(inst.num_users, inst.num_servers)
+    sol = solve_sdp(_sdr_cost(inst), [polytope], tol=tol, max_iter=max_iter, initial=initial)
     return SdrResult(b_star=sol.x, lower_bound=sol.objective, solution=sol)
 
 

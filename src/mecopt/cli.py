@@ -125,10 +125,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = build_spec(args)
     kind = SweepKind(args.kind)
-    sdp_tol = args.sdp_tol
     if args.large:
         spec = dataclasses.replace(spec, num_users=100, num_servers=20)
-        sdp_tol = max(sdp_tol, 1e-4)
         print("warning: full-scale sweep requested; the lifted assignment "
               "problems have dimension 2001 and this run can take hours",
               file=sys.stderr)
@@ -136,7 +134,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             else DEFAULT_GRIDS[kind])
     methods = args.methods.split(",")
     rows = run_sweep(kind, spec, methods, grid, num_seeds=args.seeds,
-                     rand_samples=args.samples, sdp_tol=sdp_tol)
+                     rand_samples=args.samples, sdp_tol=args.sdp_tol)
     emit_results(rows, args.out, include_timings=args.timings)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -297,6 +297,8 @@ def evaluate_allocation(cfg: SystemConfig, users: Sequence[UserProfile],
     eta_earn times its earnings minus eta_lat * omega times that latency.
     """
     k_total = len(users)
+    if k_total != cfg.num_users:
+        raise ValueError(f"{k_total} users given for a config of {cfg.num_users}")
     powers = np.asarray(powers, dtype=float)
     resolutions = np.asarray(resolutions, dtype=float)
     if powers.shape != (k_total,) or resolutions.shape != (k_total,):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from mecopt.association import _sdr_cost
 from mecopt.earnings import DEFAULT_PARAMS, EarnFamily
 from mecopt.harness import ScenarioSpec, generate_scenario
 from mecopt.model import Association, SystemConfig, UserProfile, total_objective
@@ -112,3 +113,83 @@ def jacobi_eig(a, tol=1e-12, max_sweeps=100):
     w = np.diag(m).copy()
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
+
+
+class AffineStep:
+    """Exact projection onto the equalities Tr(A_i X) = b_i and the half-space
+    Tr(Y X) <= 0, as one solve_sdp constraint set.
+
+    All A_i and Y vanish off their support (the flat indices where any of
+    them is nonzero), so the projection v - A'(AA')^+(Av - b) changes only
+    those entries, and A is stored restricted to them as an
+    (m x |support|) array. If the equality projection lands outside the
+    half-space, the inequality is active and the step is redone with Y
+    appended to the equalities. Both Gram pseudo-inverses are cached.
+    """
+
+    def __init__(self, dim, eq_constraints, trace_ineq=None):
+        mats = [np.asarray(mat, dtype=float) for mat, _ in eq_constraints]
+        touched = np.zeros((dim, dim), dtype=bool)
+        for mat in mats + ([] if trace_ineq is None else [trace_ineq]):
+            touched |= mat != 0.0
+        sup = self.support = np.flatnonzero(touched)
+        self.a_mat = np.array([mat.ravel()[sup] for mat in mats]).reshape(len(mats), sup.size)
+        self.b_vec = np.array([rhs for _, rhs in eq_constraints], dtype=float)
+        self.b_ref = np.maximum(1.0, np.abs(self.b_vec))
+        self.gram_inv = np.linalg.pinv(self.a_mat @ self.a_mat.T)
+        self.y = None if trace_ineq is None else np.asarray(trace_ineq, dtype=float).ravel()[sup]
+        if self.y is not None:
+            self.aug_mat = np.vstack([self.a_mat, self.y[None, :]])
+            self.aug_b = np.append(self.b_vec, 0.0)
+            self.aug_gram_inv = np.linalg.pinv(self.aug_mat @ self.aug_mat.T)
+
+    def project(self, v):
+        vs = v.ravel()[self.support]
+        a_mat = self.a_mat
+        ws = vs - a_mat.T @ (self.gram_inv @ (a_mat @ vs - self.b_vec))
+        if self.y is not None and float(self.y @ ws) > 0.0:
+            a_mat = self.aug_mat
+            ws = vs - a_mat.T @ (self.aug_gram_inv @ (a_mat @ vs - self.aug_b))
+        w = v.copy()
+        w.reshape(-1)[self.support] = ws
+        return w
+
+    def violations(self, x):
+        """Largest relative equality residual, no sign residual, and the
+        trace inequality's excess."""
+        xs = x.ravel()[self.support]
+        eq_v = float(np.max(np.abs(self.a_mat @ xs - self.b_vec) / self.b_ref, initial=0.0))
+        ineq_v = max(0.0, float(self.y @ xs)) if self.y is not None else 0.0
+        return eq_v, 0.0, ineq_v
+
+
+class MaskStep:
+    """Exact projection onto X >= 0 on a symmetric boolean mask: clamp the
+    masked entries."""
+
+    def __init__(self, mask):
+        self.masked = np.flatnonzero(mask)
+        self.free = np.flatnonzero(~mask)
+
+    def project(self, v):
+        w = np.maximum(v, 0.0)
+        w.reshape(-1)[self.free] = v.reshape(-1)[self.free]
+        return w
+
+    def violations(self, x):
+        """The most negative masked entry, as a positive number."""
+        return 0.0, max(0.0, -float(x.reshape(-1)[self.masked].min(initial=0.0))), 0.0
+
+
+def generic_relaxation(inst):
+    """The association relaxation in generic trace form, as the cost and the
+    constraint sets solve_sdp takes: the dense row-sum matrices and the
+    corner as equalities with the binarity half-space, then the sign mask
+    (every entry but the corner)."""
+    dim = inst.a_dim + 1
+    corner = np.zeros((dim, dim))
+    corner[-1, -1] = 1.0
+    mask = np.ones((dim, dim), dtype=bool)
+    mask[-1, -1] = False
+    eqs = [(g, 1.0) for g in inst.g_matrices] + [(corner, 1.0)]
+    return _sdr_cost(inst), [AffineStep(dim, eqs, inst.y_matrix), MaskStep(mask)]

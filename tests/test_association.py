@@ -3,12 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mecopt.association import (InstanceTooLargeError, _AssignmentPolytope, _sdr_cost,
+from mecopt.association import (InstanceTooLargeError, _AssignmentPolytope,
                                 association_objective, brute_force_association,
                                 build_qcqp, gaussian_randomize, solve_association_sdr)
 from mecopt.model import Association, ServerProfile, evaluate_allocation
-from mecopt.sdp import SdpProblem, SdpStatus, _AffineStep, solve_sdp
-from helpers import make_cfg, make_user, random_one_hot, small_scenario
+from mecopt.sdp import SdpStatus, solve_sdp
+from helpers import (generic_relaxation, make_cfg, make_user, random_one_hot,
+                     small_scenario)
 
 
 def _binary_vector(assoc: Association) -> np.ndarray:
@@ -115,34 +116,21 @@ def test_build_rejects_out_of_range_resolutions():
         build_qcqp(cfg, users, servers, np.full(len(users), cfg.s_max_px * 2))
 
 
-def _generic_relaxation(inst):
-    """The association relaxation as a generic SdpProblem: the dense row-sum
-    matrices, the corner, the sign mask and the binarity half-space."""
-    dim = inst.a_dim + 1
-    corner = np.zeros((dim, dim))
-    corner[-1, -1] = 1.0
-    mask = np.ones((dim, dim), dtype=bool)
-    mask[-1, -1] = False
-    eqs = [(g, 1.0) for g in inst.g_matrices] + [(corner, 1.0)]
-    return SdpProblem(dim=dim, cost=_sdr_cost(inst), eq_constraints=eqs,
-                      nonneg_mask=mask, trace_ineq=inst.y_matrix)
-
-
 def _uniform_instance(k, n):
     cfg = make_cfg(num_users=k, num_servers=n)
     return build_qcqp(cfg, [make_user()] * k, [ServerProfile(1e12)] * n, [2e6] * k)
 
 
-def _dykstra_projection(prob, v, iters=1000):
-    """Dykstra's alternating projections between the affine step and the
-    mask clamp; converges to the projection onto their intersection."""
-    affine = _AffineStep(prob)
-    mask = prob.nonneg_mask
+def _dykstra_projection(inst, v, iters=1000):
+    """Dykstra's alternating projections between the generic relaxation's
+    affine step and its mask clamp; converges to the projection onto their
+    intersection."""
+    _, (affine, mask) = generic_relaxation(inst)
     x, p, q = v.copy(), np.zeros_like(v), np.zeros_like(v)
     for _ in range(iters):
         y = affine.project(x + p)
         p = x + p - y
-        x = np.where(mask, np.maximum(y + q, 0.0), y + q)
+        x = mask.project(y + q)
         q = y + q - x
     return x
 
@@ -174,7 +162,7 @@ def test_polytope_projection_matches_dykstra(rng):
         m = k * n
         inst = _uniform_instance(k, n)
         got = _AssignmentPolytope(k, n).project(v)
-        want = _dykstra_projection(_generic_relaxation(inst), v)
+        want = _dykstra_projection(inst, v)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(v).max())
         if np.maximum(np.diagonal(v)[:m], 0.0).sum() < k:
             active += 1
@@ -186,10 +174,17 @@ def test_polytope_projection_matches_dykstra(rng):
 
 
 def test_polytope_violations_match_affine_step(rng):
+    signs_seen = 0
     for k, n, v in _polytope_cases(rng, 40):
-        want = _AffineStep(_generic_relaxation(_uniform_instance(k, n))).violations(v)
+        _, (affine, mask) = generic_relaxation(_uniform_instance(k, n))
+        eq_v, _, ineq_v = affine.violations(v)
+        _, sign_v, _ = mask.violations(v)
         got = _AssignmentPolytope(k, n).violations(v)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * np.abs(v).max())
+        assert got == pytest.approx((eq_v, sign_v, ineq_v), rel=1e-12,
+                                    abs=1e-12 * np.abs(v).max())
+        assert got[1] == sign_v
+        signs_seen += sign_v > 0
+    assert signs_seen
 
 
 def test_polytope_projection_is_idempotent(rng):
@@ -197,18 +192,19 @@ def test_polytope_projection_is_idempotent(rng):
         polytope = _AssignmentPolytope(k, n)
         once = polytope.project(v)
         assert np.abs(polytope.project(once) - once).max() <= 1e-14 * max(1.0, np.abs(v).max())
-        eq_v, ineq_v = polytope.violations(once)
-        assert eq_v <= 1e-14 and ineq_v <= 1e-14 * k
+        eq_v, sign_v, ineq_v = polytope.violations(once)
+        assert eq_v <= 1e-14 and sign_v == 0.0 and ineq_v <= 1e-14 * k
 
 
 def test_relaxation_matches_generic_sdp_problem(rng):
-    cfg, users, servers = small_scenario(32, 4, 3)
-    res_px = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
-    inst = build_qcqp(cfg, users, servers, res_px)
-    fast = solve_association_sdr(inst, tol=1e-8)
-    generic = solve_sdp(_generic_relaxation(inst), tol=1e-8)
-    assert fast.solution.status is generic.status is SdpStatus.CONVERGED
-    assert fast.lower_bound == pytest.approx(generic.objective, rel=1e-6)
+    for seed in range(32, 42):
+        cfg, users, servers = small_scenario(seed, 4, 3)
+        res_px = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
+        inst = build_qcqp(cfg, users, servers, res_px)
+        fast = solve_association_sdr(inst, tol=1e-8)
+        generic = solve_sdp(*generic_relaxation(inst), tol=1e-8)
+        assert fast.solution.status is generic.status is SdpStatus.CONVERGED
+        assert fast.lower_bound == pytest.approx(generic.objective, rel=1e-6)
 
 
 def test_sdr_concentrates_on_fast_server():

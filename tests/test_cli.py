@@ -32,6 +32,22 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 2 * 2
 
 
+def test_large_sweep_keeps_the_given_sdp_tolerance(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake_run_sweep(kind, spec, methods, grid, **kwargs):
+        calls.append((spec, kwargs))
+        return []
+
+    monkeypatch.setattr("mecopt.cli.run_sweep", fake_run_sweep)
+    monkeypatch.setattr("mecopt.cli.emit_results", lambda rows, out, **kwargs: None)
+    assert main(["sweep", "--kind", "omega", "--large", "--sdp-tol", "5e-5",
+                 "--seeds", "1", "--grid", "1.0", "--out", str(tmp_path / "s.csv")]) == 0
+    (spec, kwargs), = calls
+    assert (spec.num_users, spec.num_servers) == (100, 20)
+    assert kwargs["sdp_tol"] == 5e-5
+
+
 def test_oracle_compare_small(capsys):
     code = main(["oracle-compare", "--max-users", "4", "--max-servers", "2",
                  "--instances", "3", "--samples", "200", "--seed", "9"])

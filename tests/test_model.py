@@ -11,6 +11,7 @@ from mecopt.model import (Association, AssociationError, ServerProfile,
                           evaluate_allocation, snap_resolution,
                           total_objective, transmit_energy, uplink_rate,
                           validate_association)
+from mecopt.optimizer import SolveOptions, solve_joint
 from helpers import make_cfg, make_user, random_one_hot, small_scenario
 
 # (B/K) * log2(1 + g p / (B sigma^2 / K)) at B=20 MHz, K=10, g=1e-10,
@@ -276,6 +277,17 @@ def test_allocation_rejects_association_of_wrong_shape():
         with pytest.raises(ValueError, match="association has shape"):
             total_objective(cfg, users, servers, powers, res,
                             Association.from_server_indices(indices, n))
+
+
+def test_allocation_rejects_user_count_other_than_config():
+    cfg, users, servers = small_scenario(5, 4, 2)
+    users = users[:3]
+    with pytest.raises(ValueError, match="3 users given for a config of 4"):
+        evaluate_allocation(cfg, users, servers, np.full(3, 0.1),
+                            np.full(3, cfg.s_min_px),
+                            Association.from_server_indices([0, 1, 0], 2))
+    with pytest.raises(ValueError, match="3 users given for a config of 4"):
+        solve_joint(cfg, users, servers, SolveOptions())
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mecopt.association import build_qcqp, solve_association_sdr
-from mecopt.sdp import (AsymmetricMatrixError, SdpProblem, SdpStatus, _AffineStep,
-                        _clamp_negative, project_psd, solve_sdp)
-from helpers import jacobi_eig, make_cfg, make_user, small_scenario
+from mecopt.sdp import (AsymmetricMatrixError, SdpStatus, _clamp_negative, project_psd,
+                        solve_sdp)
+from helpers import AffineStep, jacobi_eig, make_cfg, make_user, small_scenario
 
 
 def _random_symmetric(rng, n):
@@ -82,7 +82,7 @@ def _partial_support_problem(rng, n, m, with_ineq):
     eqs = [(np.where(pattern, _random_symmetric(rng, n), 0.0), float(rng.normal()))
            for _ in range(m)]
     ineq = np.where(pattern, _random_symmetric(rng, n), 0.0) if with_ineq else None
-    return SdpProblem(dim=n, cost=np.eye(n), eq_constraints=eqs, trace_ineq=ineq), pattern
+    return eqs, ineq, pattern
 
 
 def _dense_projection(v, mats, rhs):
@@ -95,13 +95,12 @@ def test_affine_step_matches_dense_projection(rng):
     n, m = 9, 4
     active_seen = inactive_seen = 0
     for trial in range(40):
-        prob, pattern = _partial_support_problem(rng, n, m, with_ineq=trial % 4 != 0)
-        mats = [mat for mat, _ in prob.eq_constraints]
-        rhs = [b for _, b in prob.eq_constraints]
+        eqs, y, pattern = _partial_support_problem(rng, n, m, with_ineq=trial % 4 != 0)
+        mats = [mat for mat, _ in eqs]
+        rhs = [b for _, b in eqs]
         v = _random_symmetric(rng, n)
-        got = _AffineStep(prob).project(v)
+        got = AffineStep(n, eqs, y).project(v)
         want = _dense_projection(v, mats, rhs)
-        y = prob.trace_ineq
         if y is not None and (y * want).sum() > 0.0:
             active_seen += 1
             want = _dense_projection(v, mats + [y], rhs + [0.0])
@@ -118,8 +117,7 @@ def test_affine_step_half_space_only(rng):
     y = np.zeros((n, n))
     y[1, 2] = y[2, 1] = 1.0
     y[0, 0] = -1.0
-    prob = SdpProblem(dim=n, cost=np.eye(n), eq_constraints=[], trace_ineq=y)
-    step = _AffineStep(prob)
+    step = AffineStep(n, [], y)
     v = _random_symmetric(rng, n)
     v[1, 2] = v[2, 1] = 5.0
     v[0, 0] = 1.0
@@ -155,9 +153,7 @@ def test_project_psd_is_closest_among_sampled_psd_points(rng):
 
 
 def test_solve_sdp_eigenvalue_problem():
-    prob = SdpProblem(dim=2, cost=np.diag([1.0, 2.0]),
-                      eq_constraints=[(np.eye(2), 1.0)])
-    sol = solve_sdp(prob, tol=1e-8)
+    sol = solve_sdp(np.diag([1.0, 2.0]), [AffineStep(2, [(np.eye(2), 1.0)])], tol=1e-8)
     assert sol.status is SdpStatus.CONVERGED
     assert sol.objective == pytest.approx(1.0, abs=1e-6)
     assert sol.x == pytest.approx(np.diag([1.0, 0.0]), abs=1e-6)
@@ -195,9 +191,8 @@ def test_solution_invariants_at_convergence():
 
 
 def test_iteration_cap_reports_residuals():
-    prob = SdpProblem(dim=2, cost=np.diag([1.0, 2.0]),
-                      eq_constraints=[(np.eye(2), 1.0)])
-    sol = solve_sdp(prob, tol=1e-14, max_iter=10)
+    sol = solve_sdp(np.diag([1.0, 2.0]), [AffineStep(2, [(np.eye(2), 1.0)])],
+                    tol=1e-14, max_iter=10)
     assert sol.status is SdpStatus.ITERATION_CAP
     assert sol.iterations == 10
     assert math.isfinite(sol.primal_residual)
@@ -215,11 +210,11 @@ def test_residuals_shrink_between_checkpoints():
 
 
 def test_problem_validation():
+    trace_one = [AffineStep(2, [(np.eye(2), 1.0)])]
     with pytest.raises(AsymmetricMatrixError):
-        SdpProblem(dim=2, cost=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                   eq_constraints=[])
-    with pytest.raises(ValueError):
-        SdpProblem(dim=3, cost=np.eye(2), eq_constraints=[])
-    with pytest.raises(ValueError):
-        SdpProblem(dim=2, cost=np.eye(2), eq_constraints=[],
-                   nonneg_mask=np.array([[True, False], [True, True]]))
+        solve_sdp(np.array([[0.0, 1.0], [0.0, 0.0]]), trace_one)
+    with pytest.raises(AsymmetricMatrixError):
+        solve_sdp(np.ones((2, 3)), trace_one)
+    for initial in (np.eye(3), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="initial iterate shape"):
+            solve_sdp(np.eye(2), trace_one, initial=initial)
