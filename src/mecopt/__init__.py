@@ -17,8 +17,8 @@ from .association import (QcqpInstance, RoundingReport, SdrResult,
                           gaussian_randomize, solve_association_sdr)
 from .resolution import (ResolutionSubproblem, latency_coefficient,
                          make_subproblem, optimal_resolution)
-from .optimizer import (BaselineKind, SolveOptions, SolveTrace,
-                        auto_normalized_config, run_baseline, solve_joint)
+from .optimizer import (BaselineKind, SolveOptions, SolveTrace, run_baseline,
+                        solve_joint)
 from .harness import (ResultRow, ScenarioSpec, SweepKind, emit_results,
                       generate_scenario, run_sweep)
 

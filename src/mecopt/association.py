@@ -2,7 +2,9 @@
 
 With powers and resolutions fixed, only the compute latency depends on the
 assignment, and its total is the quadratic form a' P a over the stacked 0/1
-assignment vector. The binary program is lifted to a semidefinite relaxation
+assignment vector. P pairs only users on the same server, so an instance
+stores just the per-user task FLOPs and per-server compute rates, and the
+relaxation's cost is built from them one server block at a time. The binary program is lifted to a semidefinite relaxation
 over B = b b' (b the homogenized vector), solved, and rounded back to a
 feasible one-hot assignment by Gaussian randomization. Exhaustive enumeration
 is provided as the exactness oracle for small instances.
@@ -24,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Association, SystemConfig, ServerProfile, UserProfile, downlink_bits
+from .model import Association, SystemConfig, ServerProfile, UserProfile, user_task_flops
 from .sdp import SdpSolution, solve_sdp
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 1_000_000
+_BRUTE_FORCE_CHUNK = 8192
 
 
 class InstanceTooLargeError(ValueError):
@@ -50,26 +53,37 @@ class InstanceTooLargeError(ValueError):
 class QcqpInstance:
     """Quadratic program data for one association subproblem.
 
-    p_matrix stacks identical block-rows [J_1 ... J_K], J_k the diagonal
-    per-server compute-latency block of user k, so that a' P a equals the
-    total compute latency of the assignment. p1 is the homogenized cost with
+    The stored fields are the per-user task FLOPs T, the per-server compute
+    rates f and scale, which multiplies latency into utility units. The
+    paper's matrices are built on each access: p_matrix stacks identical
+    block-rows [J_1 ... J_K], J_k = diag(T_k / f), so that a' P a equals the
+    total compute latency of the assignment; p1 is the homogenized cost with
     a zero border, y_matrix encodes binarity (b' Y b = sum a(1-a)) and
-    g_matrices the one-server-per-user row sums (Tr(G_k B) = 1). scale
-    multiplies latency into utility units.
+    g_matrices the one-server-per-user row sums (Tr(G_k B) = 1).
     """
 
     num_users: int
     num_servers: int
-    a_dim: int
-    p_matrix: np.ndarray
-    q_matrix: np.ndarray
-    p1: np.ndarray
     scale: float
     task_flops: np.ndarray
     server_flops: np.ndarray
 
-    # The solver projects onto the constraints in closed form, so their
-    # dense matrices are built on each access, only to check the formulation.
+    @property
+    def a_dim(self) -> int:
+        return self.num_users * self.num_servers
+
+    @property
+    def p_matrix(self) -> np.ndarray:
+        block_row = np.hstack([np.diag(t / self.server_flops) for t in self.task_flops])
+        return np.tile(block_row, (self.num_users, 1))
+
+    @property
+    def q_matrix(self) -> np.ndarray:
+        return np.kron(np.eye(self.num_users), np.ones(self.num_servers))
+
+    @property
+    def p1(self) -> np.ndarray:
+        return np.pad(self.p_matrix, ((0, 1), (0, 1)))
 
     @property
     def y_matrix(self) -> np.ndarray:
@@ -95,38 +109,17 @@ class QcqpInstance:
 def build_qcqp(cfg: SystemConfig, users: Sequence[UserProfile],
                servers: Sequence[ServerProfile],
                resolutions: Sequence[float]) -> QcqpInstance:
-    """Assemble the QCQP matrices at the given per-user resolutions."""
-    k_total = len(users)
-    n_total = len(servers)
+    """The association subproblem at the given per-user resolutions."""
     resolutions = np.asarray(resolutions, dtype=float)
     if np.any(resolutions < cfg.s_min_px * (1 - 1e-9)) \
             or np.any(resolutions > cfg.s_max_px * (1 + 1e-9)):
         raise ValueError("resolutions outside [s_min, s_max]")
-
-    task = np.array([
-        cfg.lambda_up_flop_per_bit * u.uplink_bits
-        + u.lambda_down_flop_per_bit * downlink_bits(cfg, u, float(resolutions[k]))
-        for k, u in enumerate(users)])
-    f = np.array([s.compute_flops for s in servers])
-
-    m = k_total * n_total
-    block_row = np.hstack([np.diag(task[k] / f) for k in range(k_total)])
-    p_matrix = np.tile(block_row, (k_total, 1))
-    q_matrix = np.kron(np.eye(k_total), np.ones(n_total))
-
-    p1 = np.zeros((m + 1, m + 1))
-    p1[:m, :m] = p_matrix
-
     return QcqpInstance(
-        num_users=k_total,
-        num_servers=n_total,
-        a_dim=m,
-        p_matrix=p_matrix,
-        q_matrix=q_matrix,
-        p1=p1,
+        num_users=len(users),
+        num_servers=len(servers),
         scale=cfg.eta_lat * cfg.weight_omega,
-        task_flops=task,
-        server_flops=f,
+        task_flops=user_task_flops(cfg, users, resolutions),
+        server_flops=np.array([s.compute_flops for s in servers]),
     )
 
 
@@ -147,7 +140,14 @@ def association_objective(inst: QcqpInstance, association: Association) -> float
 
 
 def _sdr_cost(inst: QcqpInstance) -> np.ndarray:
-    return inst.scale * 0.5 * (inst.p1 + inst.p1.T)
+    """scale * (p1 + p1') / 2, built per server block: entry ((j, n), (k, n))
+    is (scale / 2) * (T_j / f_n + T_k / f_n) and every other entry is zero."""
+    per = (inst.task_flops[:, None] / inst.server_flops).T  # per[n, k] = T_k / f_n
+    idx = np.arange(inst.a_dim).reshape(inst.num_users, inst.num_servers).T
+    cost = np.zeros((inst.a_dim + 1, inst.a_dim + 1))
+    cost[idx[:, :, None], idx[:, None, :]] = \
+        (inst.scale * 0.5) * (per[:, :, None] + per[:, None, :])
+    return cost
 
 
 @dataclass(frozen=True)
@@ -291,8 +291,7 @@ def gaussian_randomize(inst: QcqpInstance, b_star: np.ndarray,
 
 def brute_force_association(cfg: SystemConfig, users: Sequence[UserProfile],
                             servers: Sequence[ServerProfile],
-                            resolutions: Sequence[float],
-                            chunk: int = 8192) -> Tuple[Association, float]:
+                            resolutions: Sequence[float]) -> Tuple[Association, float]:
     """Exhaustive minimum of the association subproblem (exactness oracle).
 
     Guarded at N^K <= 1e6 assignments. Ties resolve to the lexicographically
@@ -309,7 +308,7 @@ def brute_force_association(cfg: SystemConfig, users: Sequence[UserProfile],
     best_idx: Optional[np.ndarray] = None
     it = itertools.product(range(n_total), repeat=k_total)
     while True:
-        block = list(itertools.islice(it, chunk))
+        block = list(itertools.islice(it, _BRUTE_FORCE_CHUNK))
         if not block:
             break
         idx = np.asarray(block, dtype=np.int64)

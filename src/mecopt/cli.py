@@ -26,7 +26,7 @@ from .association import brute_force_association, build_qcqp, gaussian_randomize
 from .earnings import EarnFamily, fit_params
 from .harness import ScenarioSpec, SweepKind, emit_results, generate_scenario, run_sweep
 from .model import snap_resolution
-from .optimizer import SolveOptions, solve_joint, run_baseline, BaselineKind
+from .optimizer import SolveOptions
 
 _RANGE_FIELDS = ("compute_flops", "compression", "downlink_rate_bps",
                  "flop_per_px", "tau", "uplink_bits", "energy_budget_j")
@@ -94,12 +94,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.omega is not None:
         cfg = dataclasses.replace(cfg, weight_omega=args.omega)
     opts = SolveOptions(rng_seed=spec.seed, rand_samples_l=args.samples)
-    if args.method == "proposed":
-        alloc, trace = solve_joint(cfg, users, servers, opts)
-        iters = len(trace.objective_values) - 1
-    else:
-        alloc = run_baseline(BaselineKind(args.method), cfg, users, servers, opts)
-        iters = 1
+    alloc, iters, _ = harness._solve_method(args.method, cfg, users, servers, opts)
 
     norm = harness.opt_earnings_total(cfg, users)
     print(f"scenario seed={spec.seed} users={cfg.num_users} "

@@ -21,8 +21,7 @@ import numpy as np
 from .association import SdrResult
 from .earnings import EarnFamily
 from .model import ServerProfile, SystemConfig, UserProfile, user_earnings
-from .optimizer import (BaselineKind, SolveOptions, memoized_association_solver,
-                        run_baseline, solve_joint)
+from .optimizer import BaselineKind, SolveOptions, run_baseline, solve_joint
 from .power import feasibility_ratio
 
 __all__ = [
@@ -181,15 +180,17 @@ def opt_earnings_total(cfg: SystemConfig, users: Sequence[UserProfile]) -> float
 
 
 def _solve_method(method: str, cfg: SystemConfig, users, servers,
-                  opts: SolveOptions, assoc_solver) -> Tuple:
+                  opts: SolveOptions,
+                  sdr_cache: Optional[Dict[bytes, SdrResult]] = None) -> Tuple:
+    """One method's allocation, its outer iteration count (0 for methods
+    that solve no relaxation) and its last rounding gap."""
     if method == "proposed":
-        alloc, trace = solve_joint(cfg, users, servers, opts,
-                                   association_solver=assoc_solver)
+        alloc, trace = solve_joint(cfg, users, servers, opts, sdr_cache=sdr_cache)
         iters = len(trace.objective_values) - 1
         gap = trace.sdr_gaps[-1] if trace.sdr_gaps else 0.0
         return alloc, iters, gap
     kind = BaselineKind(method)
-    alloc = run_baseline(kind, cfg, users, servers, opts, association_solver=assoc_solver)
+    alloc = run_baseline(kind, cfg, users, servers, opts, sdr_cache=sdr_cache)
     return alloc, (1 if kind is BaselineKind.OPT_LATENCY else 0), 0.0
 
 
@@ -228,14 +229,13 @@ def run_sweep(kind: SweepKind, spec: ScenarioSpec, methods: Sequence[str],
                 else:
                     cfg = dataclasses.replace(cfg, s_min_px=float(value))
             norm = opt_earnings_total(cfg, users)
-            assoc_solver = memoized_association_solver(sdr_cache)
             for method in methods:
                 opts = SolveOptions(rng_seed=scen_seed, rand_samples_l=rand_samples,
                                     sdp_tol=sdp_tol, sdp_max_iter=sdp_max_iter)
                 start = time.perf_counter()
                 try:
                     alloc, iters, gap = _solve_method(
-                        method, cfg, users, servers, opts, assoc_solver)
+                        method, cfg, users, servers, opts, sdr_cache)
                     row = ResultRow(
                         method=method,
                         seed=scen_seed,

@@ -31,6 +31,7 @@ __all__ = [
     "uplink_rate",
     "downlink_bits",
     "transmit_energy",
+    "user_task_flops",
     "user_earnings",
     "total_objective",
     "validate_association",
@@ -233,6 +234,15 @@ def _per_user(users: Sequence[UserProfile], name: str) -> np.ndarray:
     return np.array([getattr(u, name) for u in users], dtype=float)
 
 
+def user_task_flops(cfg: SystemConfig, users: Sequence[UserProfile],
+                    resolutions: np.ndarray) -> np.ndarray:
+    """Each user's task FLOPs: its uplink payload plus its compressed
+    downlink frame at the given resolution, each at its per-bit rate."""
+    d_down = STEREO_BITS_PER_PIXEL * resolutions / _per_user(users, "compression_ratio")
+    return cfg.lambda_up_flop_per_bit * _per_user(users, "uplink_bits") \
+        + _per_user(users, "lambda_down_flop_per_bit") * d_down
+
+
 def user_earnings(cfg: SystemConfig, users: Sequence[UserProfile],
                   resolutions: Sequence[float]) -> np.ndarray:
     """Each user's earnings tau * h(x) at the given resolutions.
@@ -320,15 +330,14 @@ def evaluate_allocation(cfg: SystemConfig, users: Sequence[UserProfile],
         raise ValueError(
             f"user {bad[0]} resolution {resolutions[bad[0]]} outside bounds")
 
-    uplink_bits = _per_user(users, "uplink_bits")
-    l_up = uplink_bits / np.array([uplink_rate(cfg, u, p) for u, p in zip(users, powers)])
-    d_down = STEREO_BITS_PER_PIXEL * resolutions / _per_user(users, "compression_ratio")
-    l_down = d_down / _per_user(users, "downlink_rate_bps")
-    task_flops = cfg.lambda_up_flop_per_bit * uplink_bits \
-        + _per_user(users, "lambda_down_flop_per_bit") * d_down
+    l_up = _per_user(users, "uplink_bits") \
+        / np.array([uplink_rate(cfg, u, p) for u, p in zip(users, powers)])
+    l_down = STEREO_BITS_PER_PIXEL * resolutions \
+        / _per_user(users, "compression_ratio") / _per_user(users, "downlink_rate_bps")
     idx = association.server_indices
     flops = np.array([s.compute_flops for s in servers], dtype=float)
-    l_proc = task_flops * np.bincount(idx, minlength=len(servers))[idx] / flops[idx]
+    l_proc = user_task_flops(cfg, users, resolutions) \
+        * np.bincount(idx, minlength=len(servers))[idx] / flops[idx]
     earn = user_earnings(cfg, users, resolutions)
     utility = cfg.eta_earn * earn \
         - cfg.eta_lat * cfg.weight_omega * (l_up + l_down + l_proc)

@@ -4,14 +4,16 @@ Powers are set once by the closed form, then the assignment (relaxation plus
 randomized rounding, accepted only if it strictly lowers the objective) and
 the per-user resolutions (exact closed form) alternate until the objective
 stabilizes. The three reference methods share the same power rule so every
-comparison isolates the assignment/resolution choices.
+comparison isolates the assignment/resolution choices. A caller that solves
+many methods or weights on one scenario passes a dict as sdr_cache, and
+relaxations that differ only in cost scale are solved once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,8 +21,7 @@ from .association import (QcqpInstance, SdrResult, _sdr_cost, build_qcqp,
                           gaussian_randomize, solve_association_sdr)
 from .earnings import DEFAULT_PARAMS
 from .model import (Allocation, Association, ServerProfile, SystemConfig,
-                    UserProfile, evaluate_allocation, total_objective,
-                    user_earnings)
+                    UserProfile, evaluate_allocation, total_objective)
 from .power import optimal_power
 from .resolution import make_subproblem, optimal_resolution
 
@@ -30,29 +31,21 @@ __all__ = [
     "BaselineKind",
     "solve_joint",
     "run_baseline",
-    "memoized_association_solver",
-    "auto_normalized_config",
     "round_robin_association",
 ]
 
-AssociationSolver = Callable[[QcqpInstance, "SolveOptions", Optional[np.ndarray]], SdrResult]
+# solve_joint stops once an outer iteration moves the objective by at most
+# this fraction, or after this many iterations.
+_TOL_REL = 1e-4
+_MAX_OUTER_ITERS = 50
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    tol_rel: float = 1e-4
-    max_outer_iters: int = 50
     rand_samples_l: int = 1000
     rng_seed: int = 0
-    init_resolution: Optional[float] = None
     sdp_tol: float = 3e-4
     sdp_max_iter: int = 2000
-
-    def __post_init__(self) -> None:
-        if not self.tol_rel > 0:
-            raise ValueError("tol_rel must be positive")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
 
 
 @dataclass
@@ -88,34 +81,26 @@ def _derive_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence((base,) + tags).generate_state(1)[0])
 
 
-def _default_association_solver(inst: QcqpInstance, opts: SolveOptions,
-                                initial: Optional[np.ndarray]) -> SdrResult:
-    return solve_association_sdr(
-        inst, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter, initial=initial)
-
-
-def memoized_association_solver(cache: Dict[bytes, SdrResult]) -> AssociationSolver:
-    """The default association solver, reusing relaxations held in cache.
+def _relax(inst: QcqpInstance, opts: SolveOptions, initial: Optional[np.ndarray],
+           cache: Optional[Dict[bytes, SdrResult]]) -> SdrResult:
+    """The association relaxation, reused from cache when it holds one.
 
     Entries are keyed by the instance's task and server FLOPs, which fix the
     relaxation up to the cost scale; the solver normalizes the cost, so a hit
     reuses the cached solution and recomputes only the bound at the new
     scale. The cache belongs to the caller, who decides its lifetime.
     """
-
-    def solver(inst: QcqpInstance, opts: SolveOptions,
-               initial: Optional[np.ndarray]) -> SdrResult:
-        key = (inst.task_flops.tobytes() + inst.server_flops.tobytes()
-               + inst.a_dim.to_bytes(4, "little"))
-        hit = cache.get(key)
-        if hit is not None:
-            bound = float((_sdr_cost(inst) * hit.b_star).sum())
-            return SdrResult(hit.b_star, bound, hit.solution)
-        res = _default_association_solver(inst, opts, initial)
+    key = (inst.task_flops.tobytes() + inst.server_flops.tobytes()
+           + inst.a_dim.to_bytes(4, "little"))
+    hit = cache.get(key) if cache is not None else None
+    if hit is not None:
+        bound = float((_sdr_cost(inst) * hit.b_star).sum())
+        return SdrResult(hit.b_star, bound, hit.solution)
+    res = solve_association_sdr(
+        inst, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter, initial=initial)
+    if cache is not None:
         cache[key] = res
-        return res
-
-    return solver
+    return res
 
 
 def _prop1_powers(cfg: SystemConfig, users: Sequence[UserProfile]) -> np.ndarray:
@@ -137,21 +122,18 @@ def _optimize_resolutions(cfg: SystemConfig, users: Sequence[UserProfile],
 
 def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
                 servers: Sequence[ServerProfile], opts: SolveOptions,
-                association_solver: Optional[AssociationSolver] = None,
+                sdr_cache: Optional[Dict[bytes, SdrResult]] = None,
                 ) -> Tuple[Allocation, SolveTrace]:
     """Alternating solve of powers, assignment and resolutions.
 
     The assignment candidate from each rounding pass is adopted only when it
     strictly lowers the objective, and the resolution pass is an exact
     argmin, so the recorded objective sequence never increases. Starts from
-    a round-robin assignment and the minimum resolution.
+    a round-robin assignment and the minimum resolution. Relaxations are
+    looked up in and added to sdr_cache when one is given.
     """
-    solver = association_solver or _default_association_solver
     powers = _prop1_powers(cfg, users)
-    init_s = opts.init_resolution if opts.init_resolution is not None else cfg.s_min_px
-    if not cfg.s_min_px <= init_s <= cfg.s_max_px:
-        raise ValueError("init_resolution outside [s_min, s_max]")
-    resolutions = np.full(len(users), float(init_s))
+    resolutions = np.full(len(users), float(cfg.s_min_px))
     assoc = round_robin_association(len(users), len(servers))
 
     trace = SolveTrace()
@@ -159,9 +141,9 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
     trace.objective_values.append(f_cur)
 
     warm: Optional[np.ndarray] = None
-    for it in range(1, opts.max_outer_iters + 1):
+    for it in range(1, _MAX_OUTER_ITERS + 1):
         inst = build_qcqp(cfg, users, servers, resolutions)
-        sdr = solver(inst, opts, warm)
+        sdr = _relax(inst, opts, warm, sdr_cache)
         warm = sdr.b_star
         report = gaussian_randomize(
             inst, sdr.b_star, opts.rand_samples_l, _derive_seed(opts.rng_seed, it))
@@ -184,7 +166,7 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
         f_prev = trace.objective_values[-1]
         trace.objective_values.append(f_new)
         f_cur = f_new
-        if abs(f_new - f_prev) <= opts.tol_rel * abs(f_prev):
+        if abs(f_new - f_prev) <= _TOL_REL * abs(f_prev):
             break
 
     return evaluate_allocation(cfg, users, servers, powers, resolutions, assoc), trace
@@ -200,13 +182,13 @@ _BASELINE_SEED_TAG = {
 def run_baseline(kind: BaselineKind, cfg: SystemConfig,
                  users: Sequence[UserProfile], servers: Sequence[ServerProfile],
                  opts: SolveOptions,
-                 association_solver: Optional[AssociationSolver] = None) -> Allocation:
+                 sdr_cache: Optional[Dict[bytes, SdrResult]] = None) -> Allocation:
     """One of the three reference methods, with powers set by the closed form.
 
     OPT_LATENCY pins the minimum resolution and runs the relaxation pipeline
     for the assignment (its rounding seed matches the joint solver's first
     pass, so on a shared seed both start from the same assignment); its
-    relaxation goes through association_solver, as in solve_joint.
+    relaxation goes through sdr_cache, as in solve_joint.
     OPT_EARNINGS pins the maximum resolution with a uniform-random
     assignment; RANDOM draws both uniformly.
     """
@@ -217,7 +199,7 @@ def run_baseline(kind: BaselineKind, cfg: SystemConfig,
     if kind is BaselineKind.OPT_LATENCY:
         resolutions = np.full(k_total, cfg.s_min_px)
         inst = build_qcqp(cfg, users, servers, resolutions)
-        sdr = (association_solver or _default_association_solver)(inst, opts, None)
+        sdr = _relax(inst, opts, None, sdr_cache)
         report = gaussian_randomize(
             inst, sdr.b_star, opts.rand_samples_l, _derive_seed(opts.rng_seed, tag))
         assoc = report.best_assoc
@@ -233,24 +215,3 @@ def run_baseline(kind: BaselineKind, cfg: SystemConfig,
             rng.integers(0, n_total, size=k_total), n_total)
 
     return evaluate_allocation(cfg, users, servers, powers, resolutions, assoc)
-
-
-def auto_normalized_config(cfg: SystemConfig, users: Sequence[UserProfile],
-                           servers: Sequence[ServerProfile]) -> SystemConfig:
-    """Optional normalization of the utility weights.
-
-    Sets the earnings weight to one over the total earnings at maximum
-    resolution, and the latency weight to one over the mean per-user latency
-    at minimum resolution under a round-robin assignment, so that a sweep of
-    the trade-off weight spans a balanced range. Off by default; the
-    resulting weights are carried in the returned config.
-    """
-    total_earn = float(user_earnings(cfg, users, np.full(len(users), cfg.s_max_px)).sum())
-    powers = _prop1_powers(cfg, users)
-    assoc = round_robin_association(len(users), len(servers))
-    resolutions = np.full(len(users), cfg.s_min_px)
-    alloc = evaluate_allocation(cfg, users, servers, powers, resolutions, assoc)
-    mean_latency = float(alloc.total_latency_s.mean())
-    return replace(cfg,
-                   eta_earn=1.0 / total_earn if total_earn > 0 else 1.0,
-                   eta_lat=1.0 / mean_latency if mean_latency > 0 else 1.0)

@@ -120,14 +120,16 @@ _MAX_RHO_CHANGES = 80
 
 
 def solve_sdp(cost: np.ndarray, sets: Sequence[ConstraintSet], tol: float = 1e-6,
-              max_iter: int = 20000, rho: float = 1.0,
-              initial: Optional[np.ndarray] = None) -> SdpSolution:
+              max_iter: int = 20000, initial: Optional[np.ndarray] = None,
+              ) -> SdpSolution:
     """Minimize Tr(cost X) over the PSD matrices in the intersection of sets.
 
     cost must be square and symmetric. Each iteration projects one copy onto
     each set and one onto the cone, which takes one eigendecomposition and
     subtracts the negative eigenpairs. The averaged iterate then carries the
-    cost, and the scaled duals move by each copy's distance from it.
+    cost, and the scaled duals move by each copy's distance from it. The
+    step parameter rho starts at 1 and adapts to balance the two consensus
+    residuals during the first half of max_iter.
 
     Convergence demands, on the averaged iterate and over every set: relative
     equality residuals below tol, sign residuals at most 0.1 * tol, half-space
@@ -152,6 +154,7 @@ def solve_sdp(cost: np.ndarray, sets: Sequence[ConstraintSet], tol: float = 1e-6
     duals = [np.zeros((n, n)) for _ in range(ns)]
     copies = [np.zeros((n, n)) for _ in range(ns)]
     buf = np.empty((n, n))
+    rho = 1.0
     cost_step = cost_n / (ns * rho)
 
     history: List[Tuple[int, float, float]] = []

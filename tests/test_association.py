@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mecopt.association import (InstanceTooLargeError, _AssignmentPolytope,
-                                association_objective, brute_force_association,
+from mecopt.association import (InstanceTooLargeError, QcqpInstance, _AssignmentPolytope,
+                                _sdr_cost, association_objective, brute_force_association,
                                 build_qcqp, gaussian_randomize, solve_association_sdr)
 from mecopt.model import Association, ServerProfile, evaluate_allocation
 from mecopt.sdp import SdpStatus, solve_sdp
@@ -74,6 +74,19 @@ def test_quadratic_form_matches_latency_model(rng):
             cfg, users, servers, powers, res, assoc).latency_proc_s.sum()
         assert quad == pytest.approx(inst.scale * total, rel=1e-9)
         assert association_objective(inst, assoc) == pytest.approx(quad, rel=1e-9)
+
+
+def test_sdr_cost_matches_dense_homogenized_cost(rng):
+    # The cost is built per server block from the FLOP vectors; it must be
+    # the dense formulation's scale * (p1 + p1') / 2 to the last bit.
+    for _ in range(60):
+        k = int(rng.integers(1, 31))
+        n = int(rng.integers(1, 9))
+        inst = QcqpInstance(
+            num_users=k, num_servers=n, scale=float(rng.uniform(0.1, 10)),
+            task_flops=rng.uniform(1e5, 1e9, k), server_flops=rng.uniform(1e12, 5e12, n))
+        dense = inst.scale * 0.5 * (inst.p1 + inst.p1.T)
+        assert _sdr_cost(inst).tobytes() == dense.tobytes()
 
 
 def test_integrality_matrix_separates_binary_from_fractional(rng):

@@ -18,7 +18,9 @@ def test_run_prints_allocation_summary(capsys):
 def test_run_baseline_method(capsys):
     assert main(["run", "--seed", "3", "--users", "3", "--servers", "2",
                  "--method", "random", "--samples", "10"]) == 0
-    assert "method=random" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "method=random" in out
+    assert out.rstrip().endswith("iters=0")
 
 
 def test_sweep_writes_csv(tmp_path, capsys):

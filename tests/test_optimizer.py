@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mecopt.association import solve_association_sdr
+from mecopt import optimizer
+from mecopt.association import build_qcqp, solve_association_sdr
 from mecopt.earnings import DEFAULT_PARAMS
 from mecopt.harness import ScenarioSpec, generate_scenario
 from mecopt.model import ServerProfile, total_objective
-from mecopt.optimizer import (BaselineKind, SolveOptions, auto_normalized_config,
-                              run_baseline, solve_joint)
+from mecopt.optimizer import BaselineKind, SolveOptions, run_baseline, solve_joint
 from mecopt.power import optimal_power
 from mecopt.resolution import make_subproblem, optimal_resolution
 from helpers import make_cfg, make_user, nested_brute_force, small_scenario
@@ -55,23 +57,50 @@ def test_trace_records_sdp_iteration_cap():
     assert trace.sdp_iterations == [10] * outer
 
 
-def test_trace_records_sdp_residuals():
+def test_trace_records_sdp_residuals(monkeypatch):
     cfg, users, servers = small_scenario(61, 5, 3, weight_omega=2.75)
     solutions = []
 
-    def recording_solver(inst, opts, initial):
-        sdr = solve_association_sdr(inst, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter,
-                                    initial=initial)
+    def recording_solver(*args, **kwargs):
+        sdr = solve_association_sdr(*args, **kwargs)
         solutions.append(sdr.solution)
         return sdr
 
+    monkeypatch.setattr(optimizer, "solve_association_sdr", recording_solver)
     opts = SolveOptions(rng_seed=2, rand_samples_l=100, **FAST)
-    _, trace = solve_joint(cfg, users, servers, opts, association_solver=recording_solver)
+    _, trace = solve_joint(cfg, users, servers, opts)
     assert len(solutions) == len(trace.objective_values) - 1
     assert trace.sdp_iterations == [s.iterations for s in solutions]
     assert trace.sdp_primal_residual == [s.primal_residual for s in solutions]
     assert trace.sdp_dual_residual == [s.dual_residual for s in solutions]
     assert all(0.0 <= r < opts.sdp_tol for r in trace.sdp_primal_residual + trace.sdp_dual_residual)
+
+
+def test_relaxation_cache_hit_matches_fresh_solve(monkeypatch):
+    # Doubling omega doubles the cost exactly, so its normalized form, and
+    # with it the relaxation, is unchanged: the optlat relaxation at s_min
+    # is the one solve_joint's first outer iteration cached.
+    cfg, users, servers = small_scenario(62, 5, 3, weight_omega=1.0)
+    cfg2 = dataclasses.replace(cfg, weight_omega=2.0)
+    opts = SolveOptions(rng_seed=3, rand_samples_l=100, **FAST)
+    cache = {}
+    solve_joint(cfg, users, servers, opts, sdr_cache=cache)
+    filled = len(cache)
+    assert filled >= 1
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the relaxation should come from the cache")
+
+    monkeypatch.setattr(optimizer, "solve_association_sdr", no_solve)
+    run_baseline(BaselineKind.OPT_LATENCY, cfg2, users, servers, opts, sdr_cache=cache)
+    assert len(cache) == filled
+    inst = build_qcqp(cfg2, users, servers, np.full(len(users), cfg2.s_min_px))
+    hit = optimizer._relax(inst, opts, None, cache)
+    monkeypatch.undo()
+
+    fresh = solve_association_sdr(inst, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter)
+    assert hit.b_star.tobytes() == fresh.b_star.tobytes()
+    assert hit.lower_bound == fresh.lower_bound
 
 
 def test_last_trace_objective_is_the_allocation_objective():
@@ -165,27 +194,3 @@ def test_proposed_matches_optlat_association_on_shared_seed():
     alloc, _ = solve_joint(cfg, users, servers, opts)
     base = run_baseline(BaselineKind.OPT_LATENCY, cfg, users, servers, opts)
     assert alloc.objective <= base.objective + 1e-9
-
-
-def test_auto_normalized_config_balances_terms():
-    cfg, users, servers = small_scenario(240, 6, 3)
-    normed = auto_normalized_config(cfg, users, servers)
-    from mecopt.harness import opt_earnings_total
-    assert normed.eta_earn * opt_earnings_total(normed, users) \
-        == pytest.approx(1.0, rel=1e-9)
-    assert normed.eta_lat > 0
-    assert normed.eta_earn != cfg.eta_earn
-
-
-def test_infeasible_init_resolution_rejected():
-    cfg, users, servers = small_scenario(250, 2, 2)
-    opts = SolveOptions(rng_seed=0, init_resolution=cfg.s_max_px * 2, **FAST)
-    with pytest.raises(ValueError):
-        solve_joint(cfg, users, servers, opts)
-
-
-def test_solve_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(tol_rel=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(max_outer_iters=0)
