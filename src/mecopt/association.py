@@ -3,19 +3,19 @@
 With powers and resolutions fixed, only the compute latency depends on the
 assignment, and its total is the quadratic form a' P a over the stacked 0/1
 assignment vector. P pairs only users on the same server, so an instance
-stores just the per-user task FLOPs and per-server compute rates, and the
-relaxation's cost is built from them one server block at a time. The binary program is lifted to a semidefinite relaxation
-over B = b b' (b the homogenized vector), solved, and rounded back to a
-feasible one-hot assignment by Gaussian randomization. Exhaustive enumeration
-is provided as the exactness oracle for small instances.
+stores just the per-user task FLOPs and per-server compute rates. The binary
+program is lifted to a semidefinite relaxation over B = b b' (b the
+homogenized vector), solved, and rounded back to a feasible one-hot
+assignment by Gaussian randomization. Exhaustive enumeration is provided as
+the exactness oracle for small instances.
 
-The relaxation's constraints other than B >= 0 (PSD) are the one-server row
-sums on the border, the corner B_nn = 1, the binarity half-space
-Tr(Y B) <= 0 and B >= 0 off the corner. Together they form a polytope with a
-closed-form projection (per-user simplex projections of the border plus a
-one-threshold water-fill on the diagonal), so solve_association_sdr hands
-solve_sdp the cost and that one set, and the solver splits the relaxation
-over two copies: the polytope and the PSD cone.
+The cost and every constraint but B >= 0 touch only same-server entries and
+the homogenization entry h: N cliques sharing only h, a chordal pattern. So
+the relaxation is solved over N coupled PSD blocks X_n (server n's users,
+then h; Fukuda et al., SIAM J. Optim. 2001), and the rest is a polytope with
+a closed-form projection (per-user simplices across the N borders, fixed
+corners, a one-threshold water-fill of the diagonals). solve_sdp splits it
+over two copies, the polytope and the cone; B is the blocks' PSD completion.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .model import Association, SystemConfig, ServerProfile, UserProfile, user_task_flops
-from .sdp import SdpSolution, solve_sdp
+from .sdp import SdpSolution, project_psd, solve_sdp
 
 __all__ = [
     "QcqpInstance",
@@ -139,15 +139,27 @@ def association_objective(inst: QcqpInstance, association: Association) -> float
     return float(_batch_objectives(inst, association.server_indices[None, :])[0])
 
 
-def _sdr_cost(inst: QcqpInstance) -> np.ndarray:
-    """scale * (p1 + p1') / 2, built per server block: entry ((j, n), (k, n))
-    is (scale / 2) * (T_j / f_n + T_k / f_n) and every other entry is zero."""
+def _block_cost(inst: QcqpInstance) -> np.ndarray:
+    """scale * (p1 + p1') / 2 as N blocks: block n's entry (j, k) is
+    (scale / 2) * (T_j / f_n + T_k / f_n), with a zero h row and column."""
     per = (inst.task_flops[:, None] / inst.server_flops).T  # per[n, k] = T_k / f_n
-    idx = np.arange(inst.a_dim).reshape(inst.num_users, inst.num_servers).T
-    cost = np.zeros((inst.a_dim + 1, inst.a_dim + 1))
-    cost[idx[:, :, None], idx[:, None, :]] = \
-        (inst.scale * 0.5) * (per[:, :, None] + per[:, None, :])
+    cost = np.zeros((inst.num_servers, inst.num_users + 1, inst.num_users + 1))
+    cost[:, :-1, :-1] = (inst.scale * 0.5) * (per[:, :, None] + per[:, None, :])
     return cost
+
+
+def _completion(x: np.ndarray) -> np.ndarray:
+    """The dense B = [[b b' + blockdiag(S_n), b], [b', 1]] of a block stack,
+    entry (k, n) at k N + n and h last: b is the border and S_n the PSD
+    projection of block n's Schur complement X_n[:K, :K] - b_n b_n', so B is
+    PSD by construction and its cross-server entries are products b_kn b_jm.
+    """
+    servers = np.arange(x.shape[0])
+    border = x[:, :-1, -1].T  # (K, N)
+    lifted = np.multiply.outer(border, border)  # lifted[:, servers, :, servers][n] = b_n b_n'
+    lifted[:, servers, :, servers] += project_psd(x[:, :-1, :-1] - lifted[:, servers, :, servers])
+    b = border.ravel()
+    return np.block([[lifted.reshape(b.size, b.size), b[:, None]], [b, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -173,58 +185,52 @@ def _project_simplex_rows(v: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(v - theta[:, None], 0.0)
 
 
+@dataclass(frozen=True)
 class _AssignmentPolytope:
     """The relaxation's constraints besides the cone, as one exact projection.
 
-    For symmetric B of size m + 1 (m = K N, the border is row and column m)
-    the set is: user k's N border entries sum to one, B_mm = 1,
-    Tr(Y B) = sum(border) - sum(diag) <= 0, and B >= 0 off the corner. The row
-    sums fix sum(border) = K, so the half-space reduces to sum(diag) >= K, and
-    the set is a product: per-user probability simplices on the border, the
-    set {d >= 0, sum d >= K} on the diagonal, the orthant elsewhere and the
-    fixed corner. Its projection therefore splits the same way.
+    For a symmetric (N, K+1, K+1) stack X (h = K in each block) the set is:
+    user k's N borders X_n[k, h] sum to one, corners X_n[h, h] = 1,
+    sum(borders) - sum(user diagonals) <= 0, and X >= 0 off the corners. The
+    row sums fix sum(borders) = K, so the half-space is sum(diagonals) >= K,
+    and the set is a product, projected piece by piece: per-user simplices
+    on the borders, {d >= 0, sum d >= K} on the N K user diagonals, the
+    orthant elsewhere and the fixed corners.
     """
 
-    def __init__(self, num_users: int, num_servers: int) -> None:
-        self.num_users = num_users
-        self.num_servers = num_servers
-        self.m = num_users * num_servers
+    num_users: int
+    num_servers: int
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        m, k_total = self.m, self.num_users
+        users = np.arange(self.num_users)
         w = np.maximum(v, 0.0)
-        w[m, m] = 1.0
-        border = 0.5 * (v[:m, m] + v[m, :m])
-        border = _project_simplex_rows(border.reshape(k_total, self.num_servers), 1.0).ravel()
-        w[:m, m] = border
-        w[m, :m] = border
-        diag = np.diagonal(w)[:m]
-        if diag.sum() < k_total:
-            # the half-space is active: water-fill the diagonal up to sum K
-            diag = _project_simplex_rows(np.diagonal(v)[None, :m], float(k_total))[0]
-            np.fill_diagonal(w[:m, :m], diag)
+        w[:, -1, -1] = 1.0
+        border = _project_simplex_rows(0.5 * (v[:, :-1, -1] + v[:, -1, :-1]).T, 1.0)
+        w[:, :-1, -1] = w[:, -1, :-1] = border.T
+        if w[:, users, users].sum() < self.num_users:
+            # the half-space is active: water-fill the diagonals up to sum K
+            diag = _project_simplex_rows(v[:, users, users].reshape(1, -1), float(self.num_users))
+            w[:, users, users] = diag.reshape(self.num_servers, self.num_users)
         return w
 
     def violations(self, x: np.ndarray) -> Tuple[float, float, float]:
-        """Largest row-sum or corner residual, the most negative entry off
-        the corner, and the half-space's excess."""
-        m = self.m
-        border = 0.5 * (x[:m, m] + x[m, :m])
-        rows = border.reshape(self.num_users, self.num_servers).sum(axis=1)
-        eq_v = max(float(np.abs(rows - 1.0).max()), abs(float(x[m, m]) - 1.0))
-        sign_v = max(0.0, -min(float(x[:m].min()), float(x[m, :m].min())))
-        ineq_v = max(0.0, float(border.sum() - np.trace(x[:m, :m])))
+        """Row-sum or corner residual, most negative entry off the corners, half-space excess."""
+        users = np.arange(self.num_users)
+        border = 0.5 * (x[:, :-1, -1] + x[:, -1, :-1])
+        eq_v = float(max(np.abs(border.sum(axis=0) - 1.0).max(), np.abs(x[:, -1, -1] - 1.0).max()))
+        sign_v = max(0.0, -min(float(x[:, :-1].min()), float(x[:, -1, :-1].min())))
+        ineq_v = max(0.0, float(border.sum() - x[:, users, users].sum()))
         return eq_v, sign_v, ineq_v
 
 
 def solve_association_sdr(inst: QcqpInstance, tol: float = 1e-6,
                           max_iter: int = 20000,
                           initial: Optional[np.ndarray] = None) -> SdrResult:
-    """Solve the lifted relaxation; the objective is a lower bound on the
-    best binary assignment's scaled compute latency."""
+    """Solve the relaxation over server blocks: initial and solution.x are
+    (N, K+1, K+1) stacks, b_star their dense completion, lower_bound Tr(C X)."""
     polytope = _AssignmentPolytope(inst.num_users, inst.num_servers)
-    sol = solve_sdp(_sdr_cost(inst), [polytope], tol=tol, max_iter=max_iter, initial=initial)
-    return SdrResult(b_star=sol.x, lower_bound=sol.objective, solution=sol)
+    sol = solve_sdp(_block_cost(inst), [polytope], tol=tol, max_iter=max_iter, initial=initial)
+    return SdrResult(b_star=_completion(sol.x), lower_bound=sol.objective, solution=sol)
 
 
 @dataclass(frozen=True)
@@ -267,18 +273,18 @@ def gaussian_randomize(inst: QcqpInstance, b_star: np.ndarray,
         draws = rng.standard_normal((num_samples, dim))
         cand = draws @ factor.T
         # A candidate and its negation describe the same lifted point; fix
-        # the sign so the homogenization coordinate is nonnegative, then
-        # drop it.
+        # the sign so the homogenization coordinate is nonnegative, drop it.
         cand *= np.where(cand[:, -1:] < 0.0, -1.0, 1.0)
-        cand = cand[:, :inst.a_dim]
-        cand = cand.reshape(num_samples, inst.num_users, inst.num_servers)
+        cand = cand[:, :-1].reshape(num_samples, inst.num_users, inst.num_servers)
         candidates.append(np.argmax(cand, axis=2))
     all_idx = np.vstack(candidates)
 
     objs = _batch_objectives(inst, all_idx)
     best = int(np.argmin(objs))
     best_assoc = Association.from_server_indices(all_idx[best], inst.num_servers)
-    bound = float((_sdr_cost(inst) * b_sym).sum())
+    servers = np.arange(inst.num_servers)
+    blocks = b_sym[:-1, :-1].reshape((inst.num_users, inst.num_servers) * 2)[:, servers, :, servers]
+    bound = float((_block_cost(inst)[:, :-1, :-1] * blocks).sum())
     gap = (float(objs[best]) - bound) / max(abs(bound), 1e-300)
     return RoundingReport(
         num_samples=num_samples,

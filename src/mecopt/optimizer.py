@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .association import (QcqpInstance, SdrResult, _sdr_cost, build_qcqp,
+from .association import (QcqpInstance, SdrResult, _block_cost, build_qcqp,
                           gaussian_randomize, solve_association_sdr)
 from .earnings import DEFAULT_PARAMS
 from .model import (Allocation, Association, ServerProfile, SystemConfig,
@@ -94,7 +94,7 @@ def _relax(inst: QcqpInstance, opts: SolveOptions, initial: Optional[np.ndarray]
            + inst.a_dim.to_bytes(4, "little"))
     hit = cache.get(key) if cache is not None else None
     if hit is not None:
-        bound = float((_sdr_cost(inst) * hit.b_star).sum())
+        bound = float((_block_cost(inst) * hit.solution.x).sum())
         return SdrResult(hit.b_star, bound, hit.solution)
     res = solve_association_sdr(
         inst, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter, initial=initial)
@@ -144,7 +144,7 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
     for it in range(1, _MAX_OUTER_ITERS + 1):
         inst = build_qcqp(cfg, users, servers, resolutions)
         sdr = _relax(inst, opts, warm, sdr_cache)
-        warm = sdr.b_star
+        warm = sdr.solution.x
         report = gaussian_randomize(
             inst, sdr.b_star, opts.rand_samples_l, _derive_seed(opts.rng_seed, it))
         trace.sdr_gaps.append(report.gap)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from mecopt.association import _sdr_cost
+from mecopt.association import _block_cost
 from mecopt.earnings import DEFAULT_PARAMS, EarnFamily
 from mecopt.harness import ScenarioSpec, generate_scenario
 from mecopt.model import Association, SystemConfig, UserProfile, total_objective
@@ -181,6 +181,16 @@ class MaskStep:
         return 0.0, max(0.0, -float(x.reshape(-1)[self.masked].min(initial=0.0))), 0.0
 
 
+def dense_sdr_cost(inst):
+    """The relaxation's dense (KN+1)^2 cost scale * (p1 + p1') / 2, scattered
+    from the server blocks: entry ((j, n), (k, n)) is block n's (j, k) and
+    every other entry is zero."""
+    k, n = inst.num_users, inst.num_servers
+    lifted = np.zeros((k, n, k, n))
+    lifted[:, np.arange(n), :, np.arange(n)] = _block_cost(inst)[:, :-1, :-1]
+    return np.pad(lifted.reshape(k * n, k * n), ((0, 1), (0, 1)))
+
+
 def generic_relaxation(inst):
     """The association relaxation in generic trace form, as the cost and the
     constraint sets solve_sdp takes: the dense row-sum matrices and the
@@ -192,4 +202,4 @@ def generic_relaxation(inst):
     mask = np.ones((dim, dim), dtype=bool)
     mask[-1, -1] = False
     eqs = [(g, 1.0) for g in inst.g_matrices] + [(corner, 1.0)]
-    return _sdr_cost(inst), [AffineStep(dim, eqs, inst.y_matrix), MaskStep(mask)]
+    return dense_sdr_cost(inst), [AffineStep(dim, eqs, inst.y_matrix), MaskStep(mask)]

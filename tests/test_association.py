@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from mecopt.association import (InstanceTooLargeError, QcqpInstance, _AssignmentPolytope,
-                                _sdr_cost, association_objective, brute_force_association,
+                                association_objective, brute_force_association,
                                 build_qcqp, gaussian_randomize, solve_association_sdr)
 from mecopt.model import Association, ServerProfile, evaluate_allocation
 from mecopt.sdp import SdpStatus, solve_sdp
-from helpers import (generic_relaxation, make_cfg, make_user, random_one_hot,
-                     small_scenario)
+from helpers import (AffineStep, MaskStep, dense_sdr_cost, generic_relaxation, make_cfg,
+                     make_user, random_one_hot, small_scenario)
 
 
 def _binary_vector(assoc: Association) -> np.ndarray:
@@ -77,8 +77,8 @@ def test_quadratic_form_matches_latency_model(rng):
 
 
 def test_sdr_cost_matches_dense_homogenized_cost(rng):
-    # The cost is built per server block from the FLOP vectors; it must be
-    # the dense formulation's scale * (p1 + p1') / 2 to the last bit.
+    # The cost is built as server blocks from the FLOP vectors; scattered to
+    # the dense layout it must be scale * (p1 + p1') / 2 to the last bit.
     for _ in range(60):
         k = int(rng.integers(1, 31))
         n = int(rng.integers(1, 9))
@@ -86,7 +86,7 @@ def test_sdr_cost_matches_dense_homogenized_cost(rng):
             num_users=k, num_servers=n, scale=float(rng.uniform(0.1, 10)),
             task_flops=rng.uniform(1e5, 1e9, k), server_flops=rng.uniform(1e12, 5e12, n))
         dense = inst.scale * 0.5 * (inst.p1 + inst.p1.T)
-        assert _sdr_cost(inst).tobytes() == dense.tobytes()
+        assert dense_sdr_cost(inst).tobytes() == dense.tobytes()
 
 
 def test_integrality_matrix_separates_binary_from_fractional(rng):
@@ -129,57 +129,93 @@ def test_build_rejects_out_of_range_resolutions():
         build_qcqp(cfg, users, servers, np.full(len(users), cfg.s_max_px * 2))
 
 
-def _uniform_instance(k, n):
-    cfg = make_cfg(num_users=k, num_servers=n)
-    return build_qcqp(cfg, [make_user()] * k, [ServerProfile(1e12)] * n, [2e6] * k)
+def _embed(stack):
+    """The block-diagonal matrix with the stack's blocks on its diagonal."""
+    n, d, _ = stack.shape
+    dense = np.zeros((n * d, n * d))
+    for b in range(n):
+        dense[b * d:(b + 1) * d, b * d:(b + 1) * d] = stack[b]
+    return dense
 
 
-def _dykstra_projection(inst, v, iters=1000):
-    """Dykstra's alternating projections between the generic relaxation's
+def _unembed(dense, n):
+    d = dense.shape[0] // n
+    return np.stack([dense[b * d:(b + 1) * d, b * d:(b + 1) * d] for b in range(n)])
+
+
+def _embedded_steps(k, n):
+    """The polytope on the block-diagonal embedding of a K-user, N-server
+    stack, in generic form: the row sums and the N corners as equalities
+    with the binarity half-space, then the sign mask (all but the corners).
+    Off-block entries are outside every equality's support and stay zero
+    under the mask, so the steps keep a block-diagonal input block-diagonal."""
+    d = k + 1
+    size = n * d
+    borders = [[b * d + j for b in range(n)] for j in range(k)]
+    corners = [b * d + k for b in range(n)]
+    eqs = []
+    for user in borders:
+        g = np.zeros((size, size))
+        for i, h in zip(user, corners):
+            g[i, h] = g[h, i] = 0.5
+        eqs.append((g, 1.0))
+    for h in corners:
+        e = np.zeros((size, size))
+        e[h, h] = 1.0
+        eqs.append((e, 1.0))
+    y = sum(g for g, _ in eqs[:k]) - np.diag(np.isin(np.arange(size), borders))
+    mask = np.ones((size, size), dtype=bool)
+    mask[corners, corners] = False
+    return AffineStep(size, eqs, y), MaskStep(mask)
+
+
+def _dykstra_projection(v, iters=1000):
+    """Dykstra's alternating projections between the embedded polytope's
     affine step and its mask clamp; converges to the projection onto their
-    intersection."""
-    _, (affine, mask) = generic_relaxation(inst)
-    x, p, q = v.copy(), np.zeros_like(v), np.zeros_like(v)
+    intersection, read back as a stack."""
+    n, d, _ = v.shape
+    affine, mask = _embedded_steps(d - 1, n)
+    x = _embed(v)
+    p, q = np.zeros_like(x), np.zeros_like(x)
     for _ in range(iters):
         y = affine.project(x + p)
         p = x + p - y
         x = mask.project(y + q)
         q = y + q - x
-    return x
+    return _unembed(x, n)
 
 
 def _polytope_cases(rng, count):
-    """Random symmetric inputs for K in 1..5, N in 1..4, with the half-space
-    pushed active, tied border entries and an all-negative user block mixed in."""
+    """Random symmetric (N, K+1, K+1) stacks for K in 1..5, N in 1..4, with
+    the half-space pushed active, tied border entries and an all-negative
+    user border mixed in."""
     for trial in range(count):
         k = int(rng.integers(1, 6))
         n = 1 if trial % 5 == 0 else int(rng.integers(1, 5))
-        m = k * n
-        a = rng.standard_normal((m + 1, m + 1)) * rng.uniform(0.1, 3.0)
-        v = a + a.T
+        a = rng.standard_normal((n, k + 1, k + 1)) * rng.uniform(0.1, 3.0)
+        v = a + a.swapaxes(1, 2)
+        users = np.arange(k)
         kind = trial % 4
         if kind == 0:
-            v[np.arange(m), np.arange(m)] -= 2.0
+            v[:, users, users] -= 2.0
         elif kind == 1:
-            v[:m, m] = v[m, :m] = np.repeat(rng.standard_normal(k), n)
+            v[:, :k, k] = v[:, k, :k] = rng.standard_normal(k)
         elif kind == 2:
             user = int(rng.integers(0, k))
-            block = -np.abs(rng.standard_normal(n)) - 0.1
-            v[user * n:(user + 1) * n, m] = v[m, user * n:(user + 1) * n] = block
+            v[:, user, k] = v[:, k, user] = -np.abs(rng.standard_normal(n)) - 0.1
         yield k, n, v
 
 
 def test_polytope_projection_matches_dykstra(rng):
     active = inactive = single_server = 0
     for k, n, v in _polytope_cases(rng, 60):
-        m = k * n
-        inst = _uniform_instance(k, n)
+        users = np.arange(k)
         got = _AssignmentPolytope(k, n).project(v)
-        want = _dykstra_projection(inst, v)
+        want = _dykstra_projection(v)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(v).max())
-        if np.maximum(np.diagonal(v)[:m], 0.0).sum() < k:
+        if np.maximum(v[:, users, users], 0.0).sum() < k:
             active += 1
-            assert np.trace(got[:m, :m]) == pytest.approx(k, rel=1e-12)
+            assert got[:, users, users].sum() == pytest.approx(k, rel=1e-12)
         else:
             inactive += 1
         single_server += n == 1
@@ -189,9 +225,9 @@ def test_polytope_projection_matches_dykstra(rng):
 def test_polytope_violations_match_affine_step(rng):
     signs_seen = 0
     for k, n, v in _polytope_cases(rng, 40):
-        _, (affine, mask) = generic_relaxation(_uniform_instance(k, n))
-        eq_v, _, ineq_v = affine.violations(v)
-        _, sign_v, _ = mask.violations(v)
+        affine, mask = _embedded_steps(k, n)
+        eq_v, _, ineq_v = affine.violations(_embed(v))
+        _, sign_v, _ = mask.violations(_embed(v))
         got = _AssignmentPolytope(k, n).violations(v)
         assert got == pytest.approx((eq_v, sign_v, ineq_v), rel=1e-12,
                                     abs=1e-12 * np.abs(v).max())
@@ -210,14 +246,20 @@ def test_polytope_projection_is_idempotent(rng):
 
 
 def test_relaxation_matches_generic_sdp_problem(rng):
-    for seed in range(32, 42):
-        cfg, users, servers = small_scenario(seed, 4, 3)
+    # The block relaxation against the dense (KN+1)^2 one in generic form:
+    # same bound, and the blocks' dense completion is PSD and nonnegative.
+    sizes = [(4, 3)] * 10 + [(6, 3)] * 7 + [(10, 4)] * 3
+    for seed, (k, n) in enumerate(sizes, start=32):
+        cfg, users, servers = small_scenario(seed, k, n)
         res_px = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
         inst = build_qcqp(cfg, users, servers, res_px)
         fast = solve_association_sdr(inst, tol=1e-8)
         generic = solve_sdp(*generic_relaxation(inst), tol=1e-8)
         assert fast.solution.status is generic.status is SdpStatus.CONVERGED
         assert fast.lower_bound == pytest.approx(generic.objective, rel=1e-6)
+        b = fast.b_star
+        assert np.linalg.eigvalsh(b)[0] >= -1e-7 * np.linalg.norm(b)
+        assert b.min() >= -1e-7
 
 
 def test_sdr_concentrates_on_fast_server():

@@ -74,6 +74,20 @@ def test_cone_step_matches_full_eigen_clamp(rng, negatives):
     assert np.array_equal(got, got.T)
 
 
+def test_cone_step_on_a_stack_matches_each_block(rng):
+    # Blocks with 0, 1, 3 and 11 negative eigenvalues in one batch: each is
+    # projected as if alone, with the shorter blocks padded by zero terms.
+    n = 12
+    blocks = [_with_spectrum(rng, np.concatenate([-rng.uniform(0.1, 2.0, neg),
+                                                  rng.uniform(0.1, 2.0, n - neg)]))
+              for neg in (0, 1, 3, 11)]
+    got = _clamp_negative(np.stack(blocks))
+    for block, got_block in zip(blocks, got):
+        assert np.abs(got_block - _clamp_negative(block)).max() <= 1e-12
+    assert np.array_equal(got, got.swapaxes(1, 2))
+    assert np.linalg.eigvalsh(got).min() >= -1e-12
+
+
 def _partial_support_problem(rng, n, m, with_ineq):
     """Random symmetric constraints that all vanish outside one random pattern."""
     pattern = rng.random((n, n)) < 0.3
@@ -179,15 +193,19 @@ def test_solution_invariants_at_convergence():
     res = solve_association_sdr(inst, tol=1e-6)
     sol = res.solution
     assert sol.status is SdpStatus.CONVERGED
-    x = sol.x
-    assert np.linalg.eigvalsh(x)[0] >= -1e-7 * np.linalg.norm(x)
-    for j, g in enumerate(inst.g_matrices):
-        assert abs((g * x).sum() - 1.0) < 1e-6
-    assert abs(x[-1, -1] - 1.0) < 1e-6
+    x = sol.x  # server blocks, h last in each
+    k = len(users)
+    assert np.linalg.eigvalsh(x).min(axis=1).min() >= -1e-7 * np.linalg.norm(x)
+    border = x[:, :k, k]
+    assert np.abs(border.sum(axis=0) - 1.0).max() < 1e-6
+    assert np.abs(x[:, k, k] - 1.0).max() < 1e-6
     mask = np.ones_like(x, dtype=bool)
-    mask[-1, -1] = False
+    mask[:, k, k] = False
     assert x[mask].min() >= -1e-7
-    assert (inst.y_matrix * x).sum() <= 1e-6
+    assert border.sum() - np.trace(x[:, :k, :k], axis1=1, axis2=2).sum() <= 1e-6
+    for g in inst.g_matrices:
+        assert abs((g * res.b_star).sum() - 1.0) < 1e-6
+    assert (inst.y_matrix * res.b_star).sum() <= 1e-6
 
 
 def test_iteration_cap_reports_residuals():
