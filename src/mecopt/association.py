@@ -14,8 +14,9 @@ the homogenization entry h: N cliques sharing only h, a chordal pattern. So
 the relaxation is solved over N coupled PSD blocks X_n (server n's users,
 then h; Fukuda et al., SIAM J. Optim. 2001), and the rest is a polytope with
 a closed-form projection (per-user simplices across the N borders, fixed
-corners, a one-threshold water-fill of the diagonals). solve_sdp splits it
-over two copies, the polytope and the cone; B is the blocks' PSD completion.
+corners, a one-threshold water-fill of the diagonals), split by solve_sdp
+over two copies, the polytope and the cone. Rounding samples B, the blocks'
+PSD completion, block by block; the dense B is built only when read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .model import Association, SystemConfig, ServerProfile, UserProfile, user_task_flops
-from .sdp import SdpSolution, project_psd, solve_sdp
+from .sdp import SdpSolution, _check_symmetric, project_psd, solve_sdp
 
 __all__ = [
     "QcqpInstance",
@@ -148,25 +149,35 @@ def _block_cost(inst: QcqpInstance) -> np.ndarray:
     return cost
 
 
+def _schur_parts(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The border b (N, K) of a block stack and each block's Schur complement
+    X_n[:K, :K] - b_n b_n' projected onto the PSD cone, S_n (N, K, K)."""
+    border = x[:, :-1, -1]
+    return border, project_psd(x[:, :-1, :-1] - border[:, :, None] * border[:, None, :])
+
+
 def _completion(x: np.ndarray) -> np.ndarray:
     """The dense B = [[b b' + blockdiag(S_n), b], [b', 1]] of a block stack,
-    entry (k, n) at k N + n and h last: b is the border and S_n the PSD
-    projection of block n's Schur complement X_n[:K, :K] - b_n b_n', so B is
-    PSD by construction and its cross-server entries are products b_kn b_jm.
+    entry (k, n) at k N + n and h last, with b and S_n from _schur_parts: B
+    is PSD by construction and its cross-server entries are products b_kn b_jm.
     """
     servers = np.arange(x.shape[0])
-    border = x[:, :-1, -1].T  # (K, N)
-    lifted = np.multiply.outer(border, border)  # lifted[:, servers, :, servers][n] = b_n b_n'
-    lifted[:, servers, :, servers] += project_psd(x[:, :-1, :-1] - lifted[:, servers, :, servers])
-    b = border.ravel()
+    border, schur = _schur_parts(x)
+    lifted = np.multiply.outer(border.T, border.T)  # lifted[:, servers, :, servers][n] = b_n b_n'
+    lifted[:, servers, :, servers] += schur
+    b = border.T.ravel()
     return np.block([[lifted.reshape(b.size, b.size), b[:, None]], [b, 1.0]])
 
 
 @dataclass(frozen=True)
 class SdrResult:
-    b_star: np.ndarray
-    lower_bound: float
+    lower_bound: float  # Tr(C X) at solution.x, the (N, K+1, K+1) stack
     solution: SdpSolution
+
+    @property
+    def b_star(self) -> np.ndarray:
+        """The stack's dense (KN+1)^2 completion, built on each read."""
+        return _completion(self.solution.x)
 
 
 def _project_simplex_rows(v: np.ndarray, total: float) -> np.ndarray:
@@ -226,11 +237,10 @@ class _AssignmentPolytope:
 def solve_association_sdr(inst: QcqpInstance, tol: float = 1e-6,
                           max_iter: int = 20000,
                           initial: Optional[np.ndarray] = None) -> SdrResult:
-    """Solve the relaxation over server blocks: initial and solution.x are
-    (N, K+1, K+1) stacks, b_star their dense completion, lower_bound Tr(C X)."""
+    """Solve the relaxation over server blocks; initial is an (N, K+1, K+1) stack."""
     polytope = _AssignmentPolytope(inst.num_users, inst.num_servers)
     sol = solve_sdp(_block_cost(inst), [polytope], tol=tol, max_iter=max_iter, initial=initial)
-    return SdrResult(b_star=_completion(sol.x), lower_bound=sol.objective, solution=sol)
+    return SdrResult(lower_bound=sol.objective, solution=sol)
 
 
 @dataclass(frozen=True)
@@ -242,56 +252,50 @@ class RoundingReport:
     gap: float
 
 
-def gaussian_randomize(inst: QcqpInstance, b_star: np.ndarray,
-                       num_samples: int, rng_seed) -> RoundingReport:
-    """Round a relaxation solution to a feasible assignment.
+def _lifted_draws(border: np.ndarray, schur: np.ndarray, num_samples: int,
+                  rng_seed) -> Tuple[np.ndarray, np.ndarray]:
+    """h = |N(0, 1)| (samples,) and x (N, samples, K), x_n = b_n h + L_n g_n with
+    L_n L_n' = S_n and g standard normal: [x; h] has the completion's second moment."""
+    w, v = np.linalg.eigh(schur)
+    factor_t = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]).swapaxes(-1, -2)
+    rng = np.random.default_rng(rng_seed)
+    h = np.abs(rng.standard_normal(num_samples))
+    g = rng.standard_normal((schur.shape[0], num_samples, schur.shape[1]))
+    return h, h[:, None] * border[:, None, :] + g @ factor_t
 
-    Draws num_samples vectors from the Gaussian with covariance b_star,
-    drops the homogenization entry, and projects each candidate to one-hot
-    rows by per-user argmax (ties to the lowest server index). The
-    deterministic candidate read off b_star's diagonal is always included,
-    so num_samples = 0 still yields a report. Candidates are ranked by their
-    true scaled compute latency.
+
+def gaussian_randomize(inst: QcqpInstance, x: np.ndarray,
+                       num_samples: int, rng_seed) -> RoundingReport:
+    """Round a relaxation's (N, K+1, K+1) block stack to a feasible assignment.
+
+    Draws num_samples vectors from the Gaussian whose second moment is the
+    stack's PSD completion (SdrResult.b_star) block by block, and gives each
+    user the server of its largest entry (ties to the lowest index). The
+    candidate read off the completion's diagonal, b_kn^2 + S_n[k, k], is
+    always included, so num_samples = 0 still yields a report. Candidates are
+    ranked by their true scaled compute latency; the bound is Tr(C X).
     """
     if num_samples < 0:
         raise ValueError("num_samples must be nonnegative")
-    dim = inst.a_dim + 1
-    b_sym = 0.5 * (np.asarray(b_star, dtype=float) + np.asarray(b_star, dtype=float).T)
-    if b_sym.shape != (dim, dim):
-        raise ValueError(f"b_star shape {b_sym.shape} != ({dim}, {dim})")
-    w, v = np.linalg.eigh(b_sym)
-    scale_ref = max(1.0, float(np.abs(w).max()))
-    if w[0] < -1e-4 * scale_ref:
-        raise ValueError(f"b_star is not PSD within tolerance (min eig {w[0]:.3g})")
-
-    diag_idx = np.argmax(
-        np.diag(b_sym)[:inst.a_dim].reshape(inst.num_users, inst.num_servers), axis=1)
-    candidates = [diag_idx]
+    shape = (inst.num_servers, inst.num_users + 1, inst.num_users + 1)
+    x = _check_symmetric(x, "relaxation stack")
+    if x.shape != shape:
+        raise ValueError(f"relaxation stack shape {x.shape} != {shape}")
+    border, schur = _schur_parts(x)
+    candidates = [np.argmax(border * border + np.diagonal(schur, axis1=1, axis2=2), axis=0)]
     if num_samples:
-        factor = v * np.sqrt(np.maximum(w, 0.0))
-        rng = np.random.default_rng(rng_seed)
-        draws = rng.standard_normal((num_samples, dim))
-        cand = draws @ factor.T
-        # A candidate and its negation describe the same lifted point; fix
-        # the sign so the homogenization coordinate is nonnegative, drop it.
-        cand *= np.where(cand[:, -1:] < 0.0, -1.0, 1.0)
-        cand = cand[:, :-1].reshape(num_samples, inst.num_users, inst.num_servers)
-        candidates.append(np.argmax(cand, axis=2))
+        candidates.append(np.argmax(_lifted_draws(border, schur, num_samples, rng_seed)[1], axis=0))
     all_idx = np.vstack(candidates)
 
     objs = _batch_objectives(inst, all_idx)
     best = int(np.argmin(objs))
-    best_assoc = Association.from_server_indices(all_idx[best], inst.num_servers)
-    servers = np.arange(inst.num_servers)
-    blocks = b_sym[:-1, :-1].reshape((inst.num_users, inst.num_servers) * 2)[:, servers, :, servers]
-    bound = float((_block_cost(inst)[:, :-1, :-1] * blocks).sum())
-    gap = (float(objs[best]) - bound) / max(abs(bound), 1e-300)
+    bound = float((_block_cost(inst) * x).sum())
     return RoundingReport(
         num_samples=num_samples,
         best_objective=float(objs[best]),
-        best_assoc=best_assoc,
+        best_assoc=Association.from_server_indices(all_idx[best], inst.num_servers),
         sdr_lower_bound=bound,
-        gap=gap,
+        gap=(float(objs[best]) - bound) / max(abs(bound), 1e-300),
     )
 
 

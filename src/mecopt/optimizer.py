@@ -95,7 +95,7 @@ def _relax(inst: QcqpInstance, opts: SolveOptions, initial: Optional[np.ndarray]
     hit = cache.get(key) if cache is not None else None
     if hit is not None:
         bound = float((_block_cost(inst) * hit.solution.x).sum())
-        return SdrResult(hit.b_star, bound, hit.solution)
+        return SdrResult(bound, hit.solution)
     res = solve_association_sdr(
         inst, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter, initial=initial)
     if cache is not None:
@@ -136,9 +136,8 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
     resolutions = np.full(len(users), float(cfg.s_min_px))
     assoc = round_robin_association(len(users), len(servers))
 
-    trace = SolveTrace()
-    f_cur = total_objective(cfg, users, servers, powers, resolutions, assoc)
-    trace.objective_values.append(f_cur)
+    f_prev = total_objective(cfg, users, servers, powers, resolutions, assoc)
+    trace = SolveTrace(objective_values=[f_prev])
 
     warm: Optional[np.ndarray] = None
     for it in range(1, _MAX_OUTER_ITERS + 1):
@@ -146,28 +145,24 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
         sdr = _relax(inst, opts, warm, sdr_cache)
         warm = sdr.solution.x
         report = gaussian_randomize(
-            inst, sdr.b_star, opts.rand_samples_l, _derive_seed(opts.rng_seed, it))
+            inst, sdr.solution.x, opts.rand_samples_l, _derive_seed(opts.rng_seed, it))
         trace.sdr_gaps.append(report.gap)
         trace.sdp_iterations.append(sdr.solution.iterations)
         trace.sdp_status.append(sdr.solution.status.value)
         trace.sdp_primal_residual.append(sdr.solution.primal_residual)
         trace.sdp_dual_residual.append(sdr.solution.dual_residual)
-        candidate = report.best_assoc
-        f_cand = total_objective(cfg, users, servers, powers, resolutions, candidate)
-        if f_cand < f_cur:
-            assoc = candidate
-            f_cur = f_cand
-            trace.association_accepted.append(True)
-        else:
-            trace.association_accepted.append(False)
+        accepted = total_objective(cfg, users, servers, powers, resolutions,
+                                   report.best_assoc) < f_prev
+        trace.association_accepted.append(accepted)
+        if accepted:
+            assoc = report.best_assoc
 
         resolutions = _optimize_resolutions(cfg, users, servers, assoc)
         f_new = total_objective(cfg, users, servers, powers, resolutions, assoc)
-        f_prev = trace.objective_values[-1]
         trace.objective_values.append(f_new)
-        f_cur = f_new
         if abs(f_new - f_prev) <= _TOL_REL * abs(f_prev):
             break
+        f_prev = f_new
 
     return evaluate_allocation(cfg, users, servers, powers, resolutions, assoc), trace
 
@@ -201,7 +196,7 @@ def run_baseline(kind: BaselineKind, cfg: SystemConfig,
         inst = build_qcqp(cfg, users, servers, resolutions)
         sdr = _relax(inst, opts, None, sdr_cache)
         report = gaussian_randomize(
-            inst, sdr.b_star, opts.rand_samples_l, _derive_seed(opts.rng_seed, tag))
+            inst, sdr.solution.x, opts.rand_samples_l, _derive_seed(opts.rng_seed, tag))
         assoc = report.best_assoc
     elif kind is BaselineKind.OPT_EARNINGS:
         rng = np.random.default_rng(_derive_seed(opts.rng_seed, tag))

@@ -97,7 +97,7 @@ def test_ac04_sdr_soundness():
         res = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
         inst = build_qcqp(cfg, users, servers, res)
         sdr = solve_association_sdr(inst, tol=1e-9, max_iter=50000)
-        report = gaussian_randomize(inst, sdr.b_star, 1000, 2000 + trial)
+        report = gaussian_randomize(inst, sdr.solution.x, 1000, 2000 + trial)
         _, best = brute_force_association(cfg, users, servers, res)
         bound_ok += sdr.lower_bound <= best + 1e-6
         within += report.best_objective <= 1.05 * best

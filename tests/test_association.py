@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mecopt import association
 from mecopt.association import (InstanceTooLargeError, QcqpInstance, _AssignmentPolytope,
                                 association_objective, brute_force_association,
                                 build_qcqp, gaussian_randomize, solve_association_sdr)
 from mecopt.model import Association, ServerProfile, evaluate_allocation
+from mecopt.optimizer import BaselineKind, SolveOptions, run_baseline, solve_joint
 from mecopt.sdp import SdpStatus, solve_sdp
 from helpers import (AffineStep, MaskStep, dense_sdr_cost, generic_relaxation, make_cfg,
                      make_user, random_one_hot, small_scenario)
@@ -297,9 +299,8 @@ def test_rounding_degenerate_rank_one(rng):
     res_px = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
     inst = build_qcqp(cfg, users, servers, res_px)
     assoc = random_one_hot(rng, len(users), 2)
-    b = np.concatenate([_binary_vector(assoc), [1.0]])
-    b_star = np.outer(b, b)
-    report = gaussian_randomize(inst, b_star, 50, rng_seed=3)
+    b = np.column_stack([assoc.assign.T, np.ones(2)])  # server n's block is b[n] b[n]'
+    report = gaussian_randomize(inst, b[:, :, None] * b[:, None, :], 50, rng_seed=3)
     assert np.array_equal(report.best_assoc.assign, assoc.assign)
     assert report.best_objective == pytest.approx(
         association_objective(inst, assoc), rel=1e-12)
@@ -310,8 +311,8 @@ def test_rounding_deterministic_for_fixed_seed(rng):
     res_px = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
     inst = build_qcqp(cfg, users, servers, res_px)
     sdr = solve_association_sdr(inst)
-    a = gaussian_randomize(inst, sdr.b_star, 200, rng_seed=77)
-    b = gaussian_randomize(inst, sdr.b_star, 200, rng_seed=77)
+    a = gaussian_randomize(inst, sdr.solution.x, 200, rng_seed=77)
+    b = gaussian_randomize(inst, sdr.solution.x, 200, rng_seed=77)
     assert a.best_objective == b.best_objective
     assert a.sdr_lower_bound == b.sdr_lower_bound
     assert a.gap == b.gap
@@ -323,8 +324,8 @@ def test_rounding_beats_or_matches_diagonal_candidate(rng):
     res_px = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
     inst = build_qcqp(cfg, users, servers, res_px)
     sdr = solve_association_sdr(inst)
-    diag_only = gaussian_randomize(inst, sdr.b_star, 0, rng_seed=0)
-    full = gaussian_randomize(inst, sdr.b_star, 500, rng_seed=0)
+    diag_only = gaussian_randomize(inst, sdr.solution.x, 0, rng_seed=0)
+    full = gaussian_randomize(inst, sdr.solution.x, 500, rng_seed=0)
     assert full.best_objective <= diag_only.best_objective
     assert full.best_objective >= full.sdr_lower_bound - 1e-6
 
@@ -336,10 +337,80 @@ def test_rounding_close_to_brute_force(rng):
         res_px = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
         inst = build_qcqp(cfg, users, servers, res_px)
         sdr = solve_association_sdr(inst)
-        report = gaussian_randomize(inst, sdr.b_star, 1000, rng_seed=trial)
+        report = gaussian_randomize(inst, sdr.solution.x, 1000, rng_seed=trial)
         _, best = brute_force_association(cfg, users, servers, res_px)
         hits += report.best_objective <= 1.05 * best
     assert hits >= 9
+
+
+def test_lifted_draws_have_the_completion_as_second_moment():
+    # [x; h] with entry (k, n) at k N + n: each product v_i v_j is that of a
+    # Gaussian with covariance B, so its sample mean over S draws has
+    # standard deviation sqrt((B_ii B_jj + B_ij^2) / S); allow five of them.
+    cfg, users, servers = small_scenario(33, 6, 3)
+    inst = build_qcqp(cfg, users, servers, np.full(len(users), cfg.s_min_px))
+    sdr = solve_association_sdr(inst)
+    samples = 200_000
+    h, x = association._lifted_draws(*association._schur_parts(sdr.solution.x), samples, 5)
+    assert h.shape == (samples,) and h.min() >= 0.0
+    lifted = np.column_stack([x.transpose(1, 2, 0).reshape(samples, -1), h])
+    moment = lifted.T @ lifted / samples
+    b = sdr.b_star
+    sigma = np.sqrt((np.outer(np.diag(b), np.diag(b)) + b * b) / samples)
+    assert np.all(np.abs(moment - b) <= 5.0 * sigma)
+
+
+def test_diagonal_candidate_is_the_completion_diagonal_argmax(rng):
+    capped = 0
+    for seed in range(60, 72):
+        k, n = (6, 3) if seed % 2 else (4, 2)
+        cfg, users, servers = small_scenario(seed, k, n)
+        inst = build_qcqp(cfg, users, servers, rng.uniform(cfg.s_min_px, cfg.s_max_px, k))
+        for max_iter in (10, 20000):
+            sdr = solve_association_sdr(inst, max_iter=max_iter)
+            capped += sdr.solution.status is SdpStatus.ITERATION_CAP
+            diag = np.diag(sdr.b_star)[:k * n].reshape(k, n)
+            report = gaussian_randomize(inst, sdr.solution.x, 0, rng_seed=0)
+            assert np.array_equal(report.best_assoc.server_indices, np.argmax(diag, axis=1))
+    assert capped == 12
+
+
+def test_rounding_bound_is_the_relaxation_bound(rng):
+    for seed in range(72, 78):
+        cfg, users, servers = small_scenario(seed, 5, 3)
+        inst = build_qcqp(cfg, users, servers, rng.uniform(cfg.s_min_px, cfg.s_max_px, 5))
+        for max_iter in (10, 20000):
+            sdr = solve_association_sdr(inst, max_iter=max_iter)
+            report = gaussian_randomize(inst, sdr.solution.x, 20, rng_seed=seed)
+            assert report.sdr_lower_bound == sdr.lower_bound
+
+
+def test_solving_and_rounding_never_form_the_completion(monkeypatch):
+    def no_completion(x):
+        raise AssertionError("the dense completion is on the solve path")
+
+    monkeypatch.setattr(association, "_completion", no_completion)
+    cfg, users, servers = small_scenario(78, 5, 3)
+    opts = SolveOptions(rng_seed=2, rand_samples_l=200)
+    alloc, trace = solve_joint(cfg, users, servers, opts)
+    assert len(trace.sdr_gaps) >= 1
+    run_baseline(BaselineKind.OPT_LATENCY, cfg, users, servers, opts)
+    with pytest.raises(AssertionError, match="solve path"):
+        solve_association_sdr(build_qcqp(cfg, users, servers, alloc.resolutions)).b_star
+
+
+def test_rounding_rejects_a_malformed_stack():
+    cfg, users, servers = small_scenario(79, 4, 2)
+    inst = build_qcqp(cfg, users, servers, np.full(len(users), cfg.s_min_px))
+    sdr = solve_association_sdr(inst)
+    x = sdr.solution.x
+    for bad in (sdr.b_star, x[:, 1:, 1:], x[:1], x.reshape(-1)):
+        with pytest.raises(ValueError, match="shape|square"):
+            gaussian_randomize(inst, bad, 10, rng_seed=0)
+    skewed = x.copy()
+    skewed[0, 0, -1] += 0.1
+    with pytest.raises(ValueError, match="symmetric"):
+        gaussian_randomize(inst, skewed, 10, rng_seed=0)
 
 
 def test_brute_force_balances_identical_users():

@@ -48,6 +48,7 @@ def test_large_sweep_keeps_the_given_sdp_tolerance(tmp_path, monkeypatch, capsys
     (spec, kwargs), = calls
     assert (spec.num_users, spec.num_servers) == (100, 20)
     assert kwargs["sdp_tol"] == 5e-5
+    assert "full-scale sweep of 4 solves" in capsys.readouterr().err
 
 
 def test_oracle_compare_small(capsys):

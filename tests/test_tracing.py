@@ -41,3 +41,4 @@ def test_tracer_wraps_a_small_solve():
     assert metrics["sdp.solves"] >= 1
     assert metrics["association.relaxations_solved"] >= 2
     assert metrics["optimizer.run_baseline_s"] > 0
+    assert metrics["association.rounding_samples"] > 0
