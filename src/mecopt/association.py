@@ -14,9 +14,9 @@ the homogenization entry h: N cliques sharing only h, a chordal pattern. So
 the relaxation is solved over N coupled PSD blocks X_n (server n's users,
 then h; Fukuda et al., SIAM J. Optim. 2001), and the rest is a polytope with
 a closed-form projection (per-user simplices across the N borders, fixed
-corners, a one-threshold water-fill of the diagonals), split by solve_sdp
-over two copies, the polytope and the cone. Rounding samples B, the blocks'
-PSD completion, block by block; the dense B is built only when read.
+corners, a one-threshold water-fill of the diagonals), which solve_sdp
+splits against the cone. Rounding samples B, the blocks' PSD completion,
+block by block; the dense B is built only when read.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ def solve_association_sdr(inst: QcqpInstance, tol: float = 1e-6,
                           initial: Optional[np.ndarray] = None) -> SdrResult:
     """Solve the relaxation over server blocks; initial is an (N, K+1, K+1) stack."""
     polytope = _AssignmentPolytope(inst.num_users, inst.num_servers)
-    sol = solve_sdp(_block_cost(inst), [polytope], tol=tol, max_iter=max_iter, initial=initial)
+    sol = solve_sdp(_block_cost(inst), polytope, tol=tol, max_iter=max_iter, initial=initial)
     return SdrResult(lower_bound=sol.objective, solution=sol)
 
 

@@ -1,19 +1,18 @@
 """Small semidefinite programs over one matrix or a stack of blocks.
 
 Solves min Tr(C X) over symmetric X in the intersection of the PSD cone with
-a few convex sets that each have an exact Frobenius projection, via
-consensus operator splitting (O'Donoghue et al., JOTA 2016): one variable
-copy per set, each updated by its projection, tied together by an averaging
-step that carries the cost and a scaled dual update. X is one (d, d) matrix
+one convex set that has an exact Frobenius projection, by two-operator ADMM
+(Douglas-Rachford splitting; Boyd et al., Found. Trends Mach. Learn. 2011,
+sections 3 and 5): x minimizes the cost over the set, y is x projected onto
+the cone, and a scaled dual u accumulates their gap. X is one (d, d) matrix
 or a (B, d, d) stack of blocks that are each PSD, the form a chordal pattern
-decomposes into (Fukuda et al., SIAM J. Optim. 2001); the sets couple them.
+decomposes into (Fukuda et al., SIAM J. Optim. 2001); the set couples them.
 
-The caller passes the sets (``ConstraintSet``: a projection plus the
-equality, sign and half-space residuals the stopping test reads); the cone is
-added last. The association relaxation passes its assignment polytope, so
-it runs with two copies. An iteration costs one batched eigendecomposition,
-after which only the negative eigenpairs are subtracted, plus elementwise
-work.
+The caller passes the set (``ConstraintSet``: a projection plus the
+equality, sign and half-space residuals the stopping test reads). The
+association relaxation passes its assignment polytope. An iteration costs
+one batched eigendecomposition, after which only the negative eigenpairs are
+subtracted, plus elementwise work.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -79,7 +78,7 @@ def project_psd(a: np.ndarray) -> np.ndarray:
 
 
 class ConstraintSet(Protocol):
-    """A convex set solve_sdp splits over, given by its exact projection.
+    """The convex set solve_sdp splits against the cone, given by its exact projection.
 
     violations(x) returns three residuals of x against the set: the largest
     relative equality residual, the most negative entry among those the set
@@ -99,9 +98,10 @@ class SdpStatus(Enum):
 
 @dataclass
 class SdpSolution:
-    """Solver output. primal_residual aggregates normalized feasibility error
-    (equalities, signs, half-spaces, cone) together with the consensus gap;
-    dual_residual tracks the averaged-iterate movement."""
+    """Solver output. x is the set's iterate. primal_residual aggregates its
+    normalized feasibility error (equalities, signs, half-spaces, cone)
+    with its distance from the cone's iterate; dual_residual tracks the cone
+    iterate's movement."""
 
     x: np.ndarray
     objective: float
@@ -118,44 +118,42 @@ _RHO_RATIO = 5.0
 _RHO_FACTOR = 1.5
 
 
-def solve_sdp(cost: np.ndarray, sets: Sequence[ConstraintSet], tol: float = 1e-6,
+def solve_sdp(cost: np.ndarray, constraints: ConstraintSet, tol: float = 1e-6,
               max_iter: int = 20000, initial: Optional[np.ndarray] = None,
               ) -> SdpSolution:
-    """Minimize Tr(cost X) over the PSD matrices in the intersection of sets.
+    """Minimize Tr(cost X) over the PSD matrices in the set constraints.
 
-    cost must be square and symmetric, or a stack of such blocks, and sets
-    and initial take its shape. Each iteration projects one copy onto
-    each set and one onto the cone, which takes one (batched)
-    eigendecomposition and subtracts the negative eigenpairs. The averaged iterate then carries the
-    cost, and the scaled duals move by each copy's distance from it. The
-    step parameter rho starts at 1 and adapts to balance the two consensus
-    residuals, at most once per 50 iterations during the first half of
-    max_iter.
+    cost must be square and symmetric, or a stack of such blocks, and
+    initial takes its shape. Each iteration sets x to the projection of
+    y - u - cost/rho onto the set, y to the projection of x + u onto the
+    cone (one batched eigendecomposition, then the negative eigenpairs are
+    subtracted) and adds x - y to u. The step parameter rho starts at 1 and
+    adapts to balance the two residuals, at most once per 50 iterations
+    during the first half of max_iter; u is rescaled with it.
 
-    Convergence demands, on the averaged iterate and over every set: relative
-    equality residuals below tol, sign residuals at most 0.1 * tol, half-space
-    excess at most tol, smallest eigenvalue above -0.1 * tol * ||X||, and
-    both consensus residuals below tol. Hitting max_iter returns
-    ITERATION_CAP with the residuals attached so the caller can judge
-    acceptability.
+    The returned x lies in the set up to its projection's roundoff.
+    Convergence demands, on x: relative equality residuals below tol, sign
+    residuals at most 0.1 * tol, half-space excess at most tol, smallest
+    eigenvalue above -0.1 * tol * ||x||, primal residual ||x - y|| and dual
+    residual rho * sqrt(2) * ||y - y_prev|| below tol, both relative to
+    max(1, ||x||). Hitting max_iter returns ITERATION_CAP with the residuals
+    attached so the caller can judge acceptability.
     """
     cost = _check_symmetric(cost, "cost")
     c_scale = float(np.linalg.norm(cost))
     cost_n = cost / c_scale if c_scale > 0 else cost
-    ns = len(sets) + 1  # the cone's copy is the last
 
     if initial is not None:
         initial = np.asarray(initial, dtype=float)
         if initial.shape != cost.shape:
             raise ValueError(f"initial iterate shape {initial.shape} != {cost.shape}")
-        z = 0.5 * (initial + initial.swapaxes(-1, -2))
+        y = 0.5 * (initial + initial.swapaxes(-1, -2))
     else:
-        z = np.zeros(cost.shape)
-    duals = [np.zeros(cost.shape) for _ in range(ns)]
-    copies = [np.zeros(cost.shape) for _ in range(ns)]
-    buf = np.empty(cost.shape)
+        y = np.zeros(cost.shape)
+    x = y
+    u = np.zeros(cost.shape)
     rho = 1.0
-    cost_step = cost_n / (ns * rho)
+    cost_step = cost_n / rho
 
     history: List[Tuple[int, float, float]] = []
     status = SdpStatus.ITERATION_CAP
@@ -164,53 +162,42 @@ def solve_sdp(cost: np.ndarray, sets: Sequence[ConstraintSet], tol: float = 1e-6
     it = 0
 
     for it in range(1, max_iter + 1):
-        for i, step in enumerate(sets):
-            copies[i] = step.project(z - duals[i])
-        copies[-1] = _clamp_negative(z - duals[-1])
-
-        z_new = copies[0] + duals[0]
-        for i in range(1, ns):
-            z_new += np.add(copies[i], duals[i], out=buf)
-        z_new /= ns
-        z_new -= cost_step
-        z_new += z_new.swapaxes(-1, -2)
-        z_new *= 0.5
-        for i in range(ns):
-            duals[i] += np.subtract(copies[i], z_new, out=buf)
+        y_prev = y
+        v = y - u
+        v -= cost_step
+        x = constraints.project(v)
+        y = _clamp_negative(x + u)
+        u += x
+        u -= y
 
         if it % _CHECK_EVERY == 0 or it == max_iter:
-            z_norm = float(np.linalg.norm(z_new))
-            den, den_x = max(1.0, z_norm), max(z_norm, 1e-12)
-            prim = max(float(np.linalg.norm(c - z_new)) for c in copies)
-            dual = rho * math.sqrt(ns) * float(np.linalg.norm(z_new - z))
+            x_norm = float(np.linalg.norm(x))
+            den, den_x = max(1.0, x_norm), max(x_norm, 1e-12)
+            prim = float(np.linalg.norm(x - y))
+            dual = rho * math.sqrt(2.0) * float(np.linalg.norm(y - y_prev))
             prim_n, dual_n = prim / den, dual / den
-            eq_v, sign_v, ineq_v = map(
-                max, zip((0.0, 0.0, 0.0), *(step.violations(z_new) for step in sets)))
-            eig_v = max(0.0, -float(np.linalg.eigvalsh(z_new).min()))
+            eq_v, sign_v, ineq_v = constraints.violations(x)
+            eig_v = max(0.0, -float(np.linalg.eigvalsh(x).min()))
             history.append((it, prim_n, dual_n))
             feas = max(eq_v, sign_v, ineq_v, eig_v / den_x)
             if (prim_n < tol and dual_n < tol and eq_v < tol
                     and sign_v <= 0.1 * tol and ineq_v <= tol
                     and eig_v <= 0.1 * tol * den_x):
-                z = z_new
                 status = SdpStatus.CONVERGED
                 break
             if it % _RHO_EVERY == 0 and it < max_iter // 2:
                 if prim > _RHO_RATIO * dual:
                     rho *= _RHO_FACTOR
-                    for d in duals:
-                        d /= _RHO_FACTOR
+                    u /= _RHO_FACTOR
                 elif dual > _RHO_RATIO * prim:
                     rho /= _RHO_FACTOR
-                    for d in duals:
-                        d *= _RHO_FACTOR
-                cost_step = cost_n / (ns * rho)
-        z = z_new
+                    u *= _RHO_FACTOR
+                cost_step = cost_n / rho
 
     primal_residual = max(prim_n if math.isfinite(prim_n) else 0.0, feas if math.isfinite(feas) else 0.0)
     return SdpSolution(
-        x=z,
-        objective=float((cost * z).sum()),
+        x=x,
+        objective=float((cost * x).sum()),
         primal_residual=primal_residual,
         dual_residual=dual_n if math.isfinite(dual_n) else 0.0,
         iterations=it,

@@ -10,6 +10,7 @@ from mecopt.earnings import DEFAULT_PARAMS, EarnFamily
 from mecopt.harness import ScenarioSpec, generate_scenario
 from mecopt.model import Association, SystemConfig, UserProfile, total_objective
 from mecopt.resolution import make_subproblem, optimal_resolution
+from mecopt.sdp import SdpSolution, SdpStatus, _check_symmetric, _clamp_negative
 
 
 def make_cfg(num_users=4, num_servers=2, **overrides) -> SystemConfig:
@@ -113,6 +114,69 @@ def jacobi_eig(a, tol=1e-12, max_sweeps=100):
     w = np.diag(m).copy()
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
+
+
+def consensus_sdp(cost, sets, tol=1e-6, max_iter=20000, initial=None):
+    """Minimize Tr(cost X) over the PSD matrices in the intersection of sets,
+    by consensus splitting (O'Donoghue et al., JOTA 2016): a reference
+    algorithm for solve_sdp that takes several sets.
+
+    Each iteration projects one copy onto each set and one onto the cone.
+    The averaged iterate z then carries the cost, and the scaled duals move
+    by each copy's distance from it. rho adapts as in solve_sdp. Converged
+    means, on z: every set's residuals and the cone's as solve_sdp demands
+    them, the largest copy-to-z distance and rho * sqrt(copies) times z's
+    movement below tol, relative to max(1, ||z||). Returns z.
+    """
+    cost = _check_symmetric(cost, "cost")
+    c_scale = float(np.linalg.norm(cost))
+    cost_n = cost / c_scale if c_scale > 0 else cost
+    ns = len(sets) + 1  # the cone's copy is the last
+    z = np.zeros(cost.shape) if initial is None else 0.5 * (initial + initial.swapaxes(-1, -2))
+    duals = [np.zeros(cost.shape) for _ in range(ns)]
+    copies = [np.zeros(cost.shape) for _ in range(ns)]
+    rho = 1.0
+    history = []
+    status = SdpStatus.ITERATION_CAP
+    prim_n = dual_n = feas = 0.0
+    it = 0
+    for it in range(1, max_iter + 1):
+        for i, step in enumerate(sets):
+            copies[i] = step.project(z - duals[i])
+        copies[-1] = _clamp_negative(z - duals[-1])
+        z_new = sum(c + d for c, d in zip(copies, duals)) / ns - cost_n / (ns * rho)
+        z_new = 0.5 * (z_new + z_new.swapaxes(-1, -2))
+        for c, d in zip(copies, duals):
+            d += c - z_new
+        if it % 25 == 0 or it == max_iter:
+            z_norm = float(np.linalg.norm(z_new))
+            den, den_x = max(1.0, z_norm), max(z_norm, 1e-12)
+            prim = max(float(np.linalg.norm(c - z_new)) for c in copies)
+            dual = rho * math.sqrt(ns) * float(np.linalg.norm(z_new - z))
+            prim_n, dual_n = prim / den, dual / den
+            eq_v, sign_v, ineq_v = map(max, zip(*(step.violations(z_new) for step in sets)))
+            eig_v = max(0.0, -float(np.linalg.eigvalsh(z_new).min()))
+            history.append((it, prim_n, dual_n))
+            feas = max(eq_v, sign_v, ineq_v, eig_v / den_x)
+            if (prim_n < tol and dual_n < tol and eq_v < tol
+                    and sign_v <= 0.1 * tol and ineq_v <= tol
+                    and eig_v <= 0.1 * tol * den_x):
+                z = z_new
+                status = SdpStatus.CONVERGED
+                break
+            if it % 50 == 0 and it < max_iter // 2:
+                if prim > 5.0 * dual:
+                    rho *= 1.5
+                    for d in duals:
+                        d /= 1.5
+                elif dual > 5.0 * prim:
+                    rho /= 1.5
+                    for d in duals:
+                        d *= 1.5
+        z = z_new
+    return SdpSolution(x=z, objective=float((cost * z).sum()),
+                       primal_residual=max(prim_n, feas), dual_residual=dual_n,
+                       iterations=it, status=status, residual_history=history)
 
 
 class AffineStep:

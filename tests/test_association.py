@@ -9,9 +9,9 @@ from mecopt.association import (InstanceTooLargeError, QcqpInstance, _Assignment
                                 build_qcqp, gaussian_randomize, solve_association_sdr)
 from mecopt.model import Association, ServerProfile, evaluate_allocation
 from mecopt.optimizer import BaselineKind, SolveOptions, run_baseline, solve_joint
-from mecopt.sdp import SdpStatus, solve_sdp
-from helpers import (AffineStep, MaskStep, dense_sdr_cost, generic_relaxation, make_cfg,
-                     make_user, random_one_hot, small_scenario)
+from mecopt.sdp import SdpStatus
+from helpers import (AffineStep, MaskStep, consensus_sdp, dense_sdr_cost, generic_relaxation,
+                     make_cfg, make_user, random_one_hot, small_scenario)
 
 
 def _binary_vector(assoc: Association) -> np.ndarray:
@@ -248,15 +248,16 @@ def test_polytope_projection_is_idempotent(rng):
 
 
 def test_relaxation_matches_generic_sdp_problem(rng):
-    # The block relaxation against the dense (KN+1)^2 one in generic form:
-    # same bound, and the blocks' dense completion is PSD and nonnegative.
+    # The block relaxation against the dense (KN+1)^2 one in generic form,
+    # solved by the consensus reference: same bound, and the blocks' dense
+    # completion is PSD and nonnegative.
     sizes = [(4, 3)] * 10 + [(6, 3)] * 7 + [(10, 4)] * 3
     for seed, (k, n) in enumerate(sizes, start=32):
         cfg, users, servers = small_scenario(seed, k, n)
         res_px = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
         inst = build_qcqp(cfg, users, servers, res_px)
         fast = solve_association_sdr(inst, tol=1e-8)
-        generic = solve_sdp(*generic_relaxation(inst), tol=1e-8)
+        generic = consensus_sdp(*generic_relaxation(inst), tol=1e-8)
         assert fast.solution.status is generic.status is SdpStatus.CONVERGED
         assert fast.lower_bound == pytest.approx(generic.objective, rel=1e-6)
         b = fast.b_star

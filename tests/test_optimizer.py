@@ -49,17 +49,26 @@ def test_trace_is_deterministic():
 def test_trace_records_sdp_iteration_cap():
     # Ten iterations are far from converged, yet the relaxation's completion
     # is PSD by construction, so every capped solve still rounds and finishes.
-    cfg = make_cfg(num_users=1, num_servers=1, weight_omega=2.0)
-    one = SolveOptions(rng_seed=0, rand_samples_l=50, sdp_tol=1e-4, sdp_max_iter=10)
-    cases = [(cfg, [make_user()], [ServerProfile(2e12)], one)]
-    cases += [(*small_scenario(seed, k, n), SolveOptions(sdp_max_iter=10))
-              for k, n in ((3, 2), (4, 2), (5, 3)) for seed in range(60, 70)]
+    cases = [(*small_scenario(seed, k, n), SolveOptions(sdp_max_iter=10))
+             for k, n in ((3, 2), (4, 2), (5, 3)) for seed in range(60, 70)]
     for cfg, users, servers, opts in cases:
         _, trace = solve_joint(cfg, users, servers, opts)
         outer = len(trace.objective_values) - 1
         assert outer >= 1
         assert trace.sdp_status == ["iteration_cap"] * outer
         assert trace.sdp_iterations == [10] * outer
+
+
+def test_trace_records_exact_single_assignment_relaxation():
+    # One user on one server: the relaxation's only point is the assignment
+    # itself, which the splitting reaches exactly within ten iterations.
+    cfg = make_cfg(num_users=1, num_servers=1, weight_omega=2.0)
+    opts = SolveOptions(rng_seed=0, rand_samples_l=50, sdp_tol=1e-4, sdp_max_iter=10)
+    _, trace = solve_joint(cfg, [make_user()], [ServerProfile(2e12)], opts)
+    outer = len(trace.objective_values) - 1
+    assert outer >= 1
+    assert trace.sdp_status == ["converged"] * outer
+    assert trace.sdp_primal_residual == trace.sdp_dual_residual == [0.0] * outer
 
 
 def test_trace_records_sdp_residuals(monkeypatch):

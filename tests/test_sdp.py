@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mecopt.association import build_qcqp, solve_association_sdr
+from mecopt.association import (_AssignmentPolytope, _block_cost, build_qcqp,
+                                solve_association_sdr)
 from mecopt.sdp import (AsymmetricMatrixError, SdpStatus, _clamp_negative, project_psd,
                         solve_sdp)
-from helpers import AffineStep, jacobi_eig, make_cfg, make_user, small_scenario
+from helpers import (AffineStep, consensus_sdp, jacobi_eig, make_cfg, make_user,
+                     small_scenario)
 
 
 def _random_symmetric(rng, n):
@@ -167,7 +169,7 @@ def test_project_psd_is_closest_among_sampled_psd_points(rng):
 
 
 def test_solve_sdp_eigenvalue_problem():
-    sol = solve_sdp(np.diag([1.0, 2.0]), [AffineStep(2, [(np.eye(2), 1.0)])], tol=1e-8)
+    sol = solve_sdp(np.diag([1.0, 2.0]), AffineStep(2, [(np.eye(2), 1.0)]), tol=1e-8)
     assert sol.status is SdpStatus.CONVERGED
     assert sol.objective == pytest.approx(1.0, abs=1e-6)
     assert sol.x == pytest.approx(np.diag([1.0, 0.0]), abs=1e-6)
@@ -209,7 +211,7 @@ def test_solution_invariants_at_convergence():
 
 
 def test_iteration_cap_reports_residuals():
-    sol = solve_sdp(np.diag([1.0, 2.0]), [AffineStep(2, [(np.eye(2), 1.0)])],
+    sol = solve_sdp(np.diag([1.0, 2.0]), AffineStep(2, [(np.eye(2), 1.0)]),
                     tol=1e-14, max_iter=10)
     assert sol.status is SdpStatus.ITERATION_CAP
     assert sol.iterations == 10
@@ -224,11 +226,13 @@ def test_residuals_shrink_between_checkpoints():
     inst = build_qcqp(cfg, users, servers, resolutions)
     res = solve_association_sdr(inst, tol=1e-30, max_iter=10000)
     hist = dict((it, max(p, d)) for it, p, d in res.solution.residual_history)
-    assert hist[10000] <= hist[1000]
+    # falls across the early checkpoints, then stays at the roundoff floor
+    assert hist[25] > hist[100] > hist[250]
+    assert max(r for it, r in hist.items() if it >= 1000) <= 1e-14
 
 
 def test_problem_validation():
-    trace_one = [AffineStep(2, [(np.eye(2), 1.0)])]
+    trace_one = AffineStep(2, [(np.eye(2), 1.0)])
     with pytest.raises(AsymmetricMatrixError):
         solve_sdp(np.array([[0.0, 1.0], [0.0, 0.0]]), trace_one)
     with pytest.raises(AsymmetricMatrixError):
@@ -236,3 +240,40 @@ def test_problem_validation():
     for initial in (np.eye(3), np.ones((2, 3))):
         with pytest.raises(ValueError, match="initial iterate shape"):
             solve_sdp(np.eye(2), trace_one, initial=initial)
+
+
+def _cold_relaxation(seed, k, n, rng=None):
+    """Cost and polytope of a k x n scenario's relaxation: the optlat one at
+    s_min, or at resolutions drawn from rng."""
+    cfg, users, servers = small_scenario(seed, k, n)
+    res_px = (np.full(k, cfg.s_min_px) if rng is None
+              else rng.uniform(cfg.s_min_px, cfg.s_max_px, k))
+    inst = build_qcqp(cfg, users, servers, res_px)
+    return _block_cost(inst), _AssignmentPolytope(k, n)
+
+
+def test_splitting_matches_consensus_on_block_relaxation():
+    for seed, (k, n) in ((5006, (20, 5)), (3000, (30, 6))):
+        cost, polytope = _cold_relaxation(seed, k, n, np.random.default_rng(seed))
+        got = solve_sdp(cost, polytope, tol=1e-7)
+        want = consensus_sdp(cost, [polytope], tol=1e-7)
+        assert got.status is want.status is SdpStatus.CONVERGED
+        assert got.objective == pytest.approx(want.objective, rel=1e-5)
+
+
+def test_splitting_takes_fewer_iterations_than_consensus():
+    # Deterministic: measured 1375 against 2675 over these four instances.
+    got = want = 0
+    for seed in range(3000, 3004):
+        cost, polytope = _cold_relaxation(seed, 30, 6)
+        got += solve_sdp(cost, polytope, tol=3e-4, max_iter=2000).iterations
+        want += consensus_sdp(cost, [polytope], tol=3e-4, max_iter=2000).iterations
+    assert got < want
+
+
+def test_returned_iterate_lies_in_the_polytope():
+    for seed, (k, n), tol in ((82, (20, 5), 3e-4), (83, (6, 3), 1e-8)):
+        cost, polytope = _cold_relaxation(seed, k, n)
+        for max_iter in (10, 2000):
+            x = solve_sdp(cost, polytope, tol=tol, max_iter=max_iter).x
+            assert max(polytope.violations(x)) <= 1e-12
