@@ -236,8 +236,9 @@ class _AssignmentPolytope:
 
 def solve_association_sdr(inst: QcqpInstance, tol: float = 1e-6,
                           max_iter: int = 20000,
-                          initial: Optional[np.ndarray] = None) -> SdrResult:
-    """Solve the relaxation over server blocks; initial is an (N, K+1, K+1) stack."""
+                          initial: Optional[SdpSolution] = None) -> SdrResult:
+    """Solve the relaxation over server blocks, warm-started from initial's
+    (N, K+1, K+1) iterate, scaled dual and rho when it is given."""
     polytope = _AssignmentPolytope(inst.num_users, inst.num_servers)
     sol = solve_sdp(_block_cost(inst), polytope, tol=tol, max_iter=max_iter, initial=initial)
     return SdrResult(lower_bound=sol.objective, solution=sol)

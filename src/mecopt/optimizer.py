@@ -24,6 +24,7 @@ from .model import (Allocation, Association, ServerProfile, SystemConfig,
                     UserProfile, evaluate_allocation, total_objective)
 from .power import optimal_power
 from .resolution import make_subproblem, optimal_resolution
+from .sdp import SdpSolution
 
 __all__ = [
     "SolveOptions",
@@ -52,9 +53,10 @@ class SolveOptions:
 class SolveTrace:
     """Per-outer-iteration record of a joint solve.
 
-    sdp_iterations, sdp_status, sdp_primal_residual and sdp_dual_residual
-    describe the relaxation each outer iteration used (its SdpSolution's
-    iteration count, status value and final residuals).
+    sdp_iterations, sdp_status, sdp_primal_residual, sdp_dual_residual and
+    sdp_rho describe the relaxation each outer iteration used (its
+    SdpSolution's iteration count, status value, final residuals and final
+    rho).
     """
 
     objective_values: List[float] = field(default_factory=list)
@@ -64,6 +66,7 @@ class SolveTrace:
     sdp_status: List[str] = field(default_factory=list)
     sdp_primal_residual: List[float] = field(default_factory=list)
     sdp_dual_residual: List[float] = field(default_factory=list)
+    sdp_rho: List[float] = field(default_factory=list)
 
 
 class BaselineKind(Enum):
@@ -81,14 +84,15 @@ def _derive_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence((base,) + tags).generate_state(1)[0])
 
 
-def _relax(inst: QcqpInstance, opts: SolveOptions, initial: Optional[np.ndarray],
+def _relax(inst: QcqpInstance, opts: SolveOptions, initial: Optional[SdpSolution],
            cache: Optional[Dict[bytes, SdrResult]]) -> SdrResult:
     """The association relaxation, reused from cache when it holds one.
 
     Entries are keyed by the instance's task and server FLOPs, which fix the
     relaxation up to the cost scale; the solver normalizes the cost, so a hit
-    reuses the cached solution and recomputes only the bound at the new
-    scale. The cache belongs to the caller, who decides its lifetime.
+    reuses the cached solution, warm-start state included, and recomputes
+    only the bound at the new scale. The cache belongs to the caller, who
+    decides its lifetime.
     """
     key = (inst.task_flops.tobytes() + inst.server_flops.tobytes()
            + inst.a_dim.to_bytes(4, "little"))
@@ -129,8 +133,10 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
     The assignment candidate from each rounding pass is adopted only when it
     strictly lowers the objective, and the resolution pass is an exact
     argmin, so the recorded objective sequence never increases. Starts from
-    a round-robin assignment and the minimum resolution. Relaxations are
-    looked up in and added to sdr_cache when one is given.
+    a round-robin assignment and the minimum resolution. Each relaxation
+    resumes the previous outer iteration's solution (iterate, scaled dual
+    and rho). Relaxations are looked up in and added to sdr_cache when one
+    is given.
     """
     powers = _prop1_powers(cfg, users)
     resolutions = np.full(len(users), float(cfg.s_min_px))
@@ -139,11 +145,11 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
     f_prev = total_objective(cfg, users, servers, powers, resolutions, assoc)
     trace = SolveTrace(objective_values=[f_prev])
 
-    warm: Optional[np.ndarray] = None
+    warm: Optional[SdpSolution] = None
     for it in range(1, _MAX_OUTER_ITERS + 1):
         inst = build_qcqp(cfg, users, servers, resolutions)
         sdr = _relax(inst, opts, warm, sdr_cache)
-        warm = sdr.solution.x
+        warm = sdr.solution
         report = gaussian_randomize(
             inst, sdr.solution.x, opts.rand_samples_l, _derive_seed(opts.rng_seed, it))
         trace.sdr_gaps.append(report.gap)
@@ -151,6 +157,7 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
         trace.sdp_status.append(sdr.solution.status.value)
         trace.sdp_primal_residual.append(sdr.solution.primal_residual)
         trace.sdp_dual_residual.append(sdr.solution.dual_residual)
+        trace.sdp_rho.append(sdr.solution.rho)
         accepted = total_objective(cfg, users, servers, powers, resolutions,
                                    report.best_assoc) < f_prev
         trace.association_accepted.append(accepted)

@@ -12,7 +12,9 @@ The caller passes the set (``ConstraintSet``: a projection plus the
 equality, sign and half-space residuals the stopping test reads). The
 association relaxation passes its assignment polytope. An iteration costs
 one batched eigendecomposition, after which only the negative eigenpairs are
-subtracted, plus elementwise work.
+subtracted, plus elementwise work. A solve warm-started from an earlier
+``SdpSolution`` restores its whole splitting state (iterate, scaled dual and
+step parameter), so a neighbouring problem does not rebuild the dual.
 """
 
 from __future__ import annotations
@@ -101,7 +103,9 @@ class SdpSolution:
     """Solver output. x is the set's iterate. primal_residual aggregates its
     normalized feasibility error (equalities, signs, half-spaces, cone)
     with its distance from the cone's iterate; dual_residual tracks the cone
-    iterate's movement."""
+    iterate's movement. rho and u are the step parameter and the scaled dual
+    the solver stopped with; passed back as solve_sdp's initial, the
+    solution resumes the splitting from x, u and rho."""
 
     x: np.ndarray
     objective: float
@@ -109,6 +113,8 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     status: SdpStatus
+    rho: float
+    u: np.ndarray
     residual_history: List[Tuple[int, float, float]] = field(default_factory=list, repr=False)
 
 
@@ -119,17 +125,19 @@ _RHO_FACTOR = 1.5
 
 
 def solve_sdp(cost: np.ndarray, constraints: ConstraintSet, tol: float = 1e-6,
-              max_iter: int = 20000, initial: Optional[np.ndarray] = None,
+              max_iter: int = 20000, initial: Optional[SdpSolution] = None,
               ) -> SdpSolution:
     """Minimize Tr(cost X) over the PSD matrices in the set constraints.
 
-    cost must be square and symmetric, or a stack of such blocks, and
-    initial takes its shape. Each iteration sets x to the projection of
-    y - u - cost/rho onto the set, y to the projection of x + u onto the
-    cone (one batched eigendecomposition, then the negative eigenpairs are
-    subtracted) and adds x - y to u. The step parameter rho starts at 1 and
-    adapts to balance the two residuals, at most once per 50 iterations
-    during the first half of max_iter; u is rescaled with it.
+    cost must be square and symmetric, or a stack of such blocks. Each
+    iteration sets x to the projection of y - u - cost/rho onto the set, y
+    to the projection of x + u onto the cone (one batched
+    eigendecomposition, then the negative eigenpairs are subtracted) and
+    adds x - y to u. A cold start has y = u = 0 and rho = 1; a warm start
+    from initial, an earlier solution whose x has cost's shape, restarts
+    from y = sym(initial.x), u = initial.u and rho = initial.rho. rho adapts
+    to balance the two residuals, at most once per 50 of this solve's
+    iterations during the first half of max_iter; u is rescaled with it.
 
     The returned x lies in the set up to its projection's roundoff.
     Convergence demands, on x: relative equality residuals below tol, sign
@@ -143,16 +151,14 @@ def solve_sdp(cost: np.ndarray, constraints: ConstraintSet, tol: float = 1e-6,
     c_scale = float(np.linalg.norm(cost))
     cost_n = cost / c_scale if c_scale > 0 else cost
 
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float)
-        if initial.shape != cost.shape:
-            raise ValueError(f"initial iterate shape {initial.shape} != {cost.shape}")
-        y = 0.5 * (initial + initial.swapaxes(-1, -2))
+    if initial is None:
+        y, u, rho = np.zeros(cost.shape), np.zeros(cost.shape), 1.0
     else:
-        y = np.zeros(cost.shape)
+        if initial.x.shape != cost.shape:
+            raise ValueError(f"initial iterate shape {initial.x.shape} != {cost.shape}")
+        y = 0.5 * (initial.x + initial.x.swapaxes(-1, -2))
+        u, rho = initial.u.copy(), initial.rho  # u is updated in place
     x = y
-    u = np.zeros(cost.shape)
-    rho = 1.0
     cost_step = cost_n / rho
 
     history: List[Tuple[int, float, float]] = []
@@ -202,5 +208,7 @@ def solve_sdp(cost: np.ndarray, constraints: ConstraintSet, tol: float = 1e-6,
         dual_residual=dual_n if math.isfinite(dual_n) else 0.0,
         iterations=it,
         status=status,
+        rho=rho,
+        u=u,
         residual_history=history,
     )

@@ -116,7 +116,7 @@ def jacobi_eig(a, tol=1e-12, max_sweeps=100):
     return w[order], v[:, order]
 
 
-def consensus_sdp(cost, sets, tol=1e-6, max_iter=20000, initial=None):
+def consensus_sdp(cost, sets, tol=1e-6, max_iter=20000):
     """Minimize Tr(cost X) over the PSD matrices in the intersection of sets,
     by consensus splitting (O'Donoghue et al., JOTA 2016): a reference
     algorithm for solve_sdp that takes several sets.
@@ -132,7 +132,7 @@ def consensus_sdp(cost, sets, tol=1e-6, max_iter=20000, initial=None):
     c_scale = float(np.linalg.norm(cost))
     cost_n = cost / c_scale if c_scale > 0 else cost
     ns = len(sets) + 1  # the cone's copy is the last
-    z = np.zeros(cost.shape) if initial is None else 0.5 * (initial + initial.swapaxes(-1, -2))
+    z = np.zeros(cost.shape)
     duals = [np.zeros(cost.shape) for _ in range(ns)]
     copies = [np.zeros(cost.shape) for _ in range(ns)]
     rho = 1.0
@@ -176,7 +176,9 @@ def consensus_sdp(cost, sets, tol=1e-6, max_iter=20000, initial=None):
         z = z_new
     return SdpSolution(x=z, objective=float((cost * z).sum()),
                        primal_residual=max(prim_n, feas), dual_residual=dual_n,
-                       iterations=it, status=status, residual_history=history)
+                       iterations=it, status=status, rho=rho,
+                       # one scaled dual per copy, none of them solve_sdp's u
+                       u=np.zeros(cost.shape), residual_history=history)
 
 
 class AffineStep:
