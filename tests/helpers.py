@@ -10,7 +10,7 @@ from mecopt.earnings import DEFAULT_PARAMS, EarnFamily
 from mecopt.harness import ScenarioSpec, generate_scenario
 from mecopt.model import Association, SystemConfig, UserProfile, total_objective
 from mecopt.resolution import make_subproblem, optimal_resolution
-from mecopt.sdp import SdpSolution, SdpStatus, _check_symmetric, _clamp_negative
+from mecopt.sdp import _RHO_COLD, SdpSolution, SdpStatus, _check_symmetric, _clamp_negative
 
 
 def make_cfg(num_users=4, num_servers=2, **overrides) -> SystemConfig:
@@ -126,7 +126,8 @@ def consensus_sdp(cost, sets, tol=1e-6, max_iter=20000):
     by each copy's distance from it. rho adapts as in solve_sdp. Converged
     means, on z: every set's residuals and the cone's as solve_sdp demands
     them, the largest copy-to-z distance and rho * sqrt(copies) times z's
-    movement below tol, relative to max(1, ||z||). Returns z.
+    movement below tol, relative to max(1, ||z||). Returns z. It starts at
+    solve_sdp's cold rho and checks every 25 iterations.
     """
     cost = _check_symmetric(cost, "cost")
     c_scale = float(np.linalg.norm(cost))
@@ -135,7 +136,7 @@ def consensus_sdp(cost, sets, tol=1e-6, max_iter=20000):
     z = np.zeros(cost.shape)
     duals = [np.zeros(cost.shape) for _ in range(ns)]
     copies = [np.zeros(cost.shape) for _ in range(ns)]
-    rho = 1.0
+    rho = _RHO_COLD
     history = []
     status = SdpStatus.ITERATION_CAP
     prim_n = dual_n = feas = 0.0

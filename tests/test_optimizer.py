@@ -118,14 +118,27 @@ def test_relaxation_cache_hit_matches_fresh_solve(monkeypatch):
     assert hit.lower_bound == fresh.lower_bound
 
 
-def test_warm_outer_iterations_take_at_most_half_the_cold_one():
-    # Each relaxation resumes the previous one's iterate, dual and rho. With
-    # only the iterate carried, seed 5000 took [350, 275, 125, 100].
+def test_warm_outer_iterations_take_fewer_iterations_than_cold_solves(monkeypatch):
+    # Each relaxation resumes the previous one's iterate, dual and rho, and
+    # takes fewer iterations than a cold solve of the same relaxation
+    # (measured: worst ratio 0.80, summed ratios 0.38-0.68). Restarted with
+    # u = 0, the summed ratios were 0.54-0.83.
     for seed in range(5000, 5006):
         cfg, users, servers = small_scenario(seed, 20, 5)
-        _, trace = solve_joint(cfg, users, servers, SolveOptions())
-        first, *warm = trace.sdp_iterations
-        assert warm and max(warm) <= first / 2, trace.sdp_iterations
+        pairs = []
+
+        def paired_solver(inst, tol, max_iter, initial=None):
+            sdr = solve_association_sdr(inst, tol=tol, max_iter=max_iter, initial=initial)
+            if initial is not None:
+                cold = solve_association_sdr(inst, tol=tol, max_iter=max_iter)
+                pairs.append((sdr.solution.iterations, cold.solution.iterations))
+            return sdr
+
+        monkeypatch.setattr(optimizer, "solve_association_sdr", paired_solver)
+        solve_joint(cfg, users, servers, SolveOptions())
+        assert pairs and all(warm < cold for warm, cold in pairs), (seed, pairs)
+        warm, cold = map(sum, zip(*pairs))
+        assert warm <= 0.7 * cold, (seed, pairs)
 
 
 def test_last_trace_objective_is_the_allocation_objective():
