@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Score the relaxation-and-rounding pipeline against exhaustive enumeration.
+"""Score the relaxation-and-rounding pipeline against the exact association DP.
 
-Prints one line per random small instance (lower bound, rounded objective,
-exact optimum, SDP iterations) and a summary of how often the bound holds,
-how often the rounding lands within 5% of exact, and the total SDP
-iterations. Equivalent to `mecopt oracle-compare`.
+Prints one line per random instance of up to --max-users by --max-servers
+(lower bound, rounded objective, exact optimum, SDP iterations) and a summary
+of how often the bound holds, how often the rounding lands within 5% of
+exact, and the total SDP iterations. Equivalent to `mecopt oracle-compare`.
 """
 
 import os

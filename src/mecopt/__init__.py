@@ -1,5 +1,5 @@
 """Joint transmit-power, server-association and video-resolution optimization
-for edge-assisted play-to-earn streaming, with brute-force oracles and a
+for edge-assisted play-to-earn streaming, with exact oracles and a
 reproducible experiment harness."""
 
 from .earnings import (DEFAULT_PARAMS, EarnFamily, EarnParams, check_assumption1,
@@ -13,7 +13,7 @@ from .power import (EnergyInfeasibleError, PowerBinding, PowerSolution, WBranch,
                     optimal_power)
 from .sdp import SdpSolution, SdpStatus, project_psd, solve_sdp
 from .association import (QcqpInstance, RoundingReport, SdrResult,
-                          brute_force_association, build_qcqp,
+                          build_qcqp, exact_association,
                           gaussian_randomize, solve_association_sdr)
 from .resolution import (ResolutionSubproblem, latency_coefficient,
                          make_subproblem, optimal_resolution)

@@ -6,8 +6,8 @@ assignment vector. P pairs only users on the same server, so an instance
 stores just the per-user task FLOPs and per-server compute rates. The binary
 program is lifted to a semidefinite relaxation over B = b b' (b the
 homogenized vector), solved, and rounded back to a feasible one-hot
-assignment by Gaussian randomization. Exhaustive enumeration is provided as
-the exactness oracle for small instances.
+assignment by Gaussian randomization. An exact dynamic program over subsets
+of servers is provided as the oracle for instances up to about 40x8.
 
 The cost and every constraint but B >= 0 touch only same-server entries and
 the homogenization entry h: N cliques sharing only h, a chordal pattern. So
@@ -21,7 +21,6 @@ block by block; the dense B is built only when read.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -39,11 +38,8 @@ __all__ = [
     "association_objective",
     "solve_association_sdr",
     "gaussian_randomize",
-    "brute_force_association",
+    "exact_association",
 ]
-
-BRUTE_FORCE_LIMIT = 1_000_000
-_BRUTE_FORCE_CHUNK = 8192
 
 
 class InstanceTooLargeError(ValueError):
@@ -300,33 +296,37 @@ def gaussian_randomize(inst: QcqpInstance, x: np.ndarray,
     )
 
 
-def brute_force_association(cfg: SystemConfig, users: Sequence[UserProfile],
-                            servers: Sequence[ServerProfile],
-                            resolutions: Sequence[float]) -> Tuple[Association, float]:
-    """Exhaustive minimum of the association subproblem (exactness oracle).
+def exact_association(inst: QcqpInstance) -> Tuple[Association, float]:
+    """Exact minimum of the association subproblem and its association_objective.
 
-    Guarded at N^K <= 1e6 assignments. Ties resolve to the lexicographically
-    first index tuple.
+    User k costs scale * T_k * L_n / f_n, so for fixed loads the rearrangement
+    inequality (Hardy, Littlewood & Polya, Inequalities, 1934) pairs the largest
+    T with the smallest L_n / f_n: some optimum gives the users, sorted by T
+    descending, to the servers in contiguous blocks. A DP over server subsets S
+    finds it, with P the prefix sums of the sorted T and 2^N N (K+1)^2 terms:
+    dp[S + {n}][j] = min_i dp[S][i] + ((j - i) / f_n)(P_j - P_i). Guarded at 1e9.
     """
-    k_total, n_total = len(users), len(servers)
-    total = n_total ** k_total
-    if total > BRUTE_FORCE_LIMIT:
-        raise InstanceTooLargeError(
-            f"{n_total}^{k_total} = {total} assignments exceeds {BRUTE_FORCE_LIMIT}")
-    inst = build_qcqp(cfg, users, servers, resolutions)
-
-    best_obj = np.inf
-    best_idx: Optional[np.ndarray] = None
-    it = itertools.product(range(n_total), repeat=k_total)
-    while True:
-        block = list(itertools.islice(it, _BRUTE_FORCE_CHUNK))
-        if not block:
-            break
-        idx = np.asarray(block, dtype=np.int64)
-        objs = _batch_objectives(inst, idx)
-        i = int(np.argmin(objs))
-        if objs[i] < best_obj:
-            best_obj = float(objs[i])
-            best_idx = idx[i]
-    assert best_idx is not None
-    return Association.from_server_indices(best_idx, n_total), best_obj
+    k_total, n_total = inst.num_users, inst.num_servers
+    if 2 ** n_total * n_total * (k_total + 1) ** 2 > 1e9:
+        raise InstanceTooLargeError(f"{k_total}x{n_total} needs over 1e9 DP terms")
+    order = np.argsort(-inst.task_flops, kind="stable")
+    prefix = np.concatenate([[0.0], np.cumsum(inst.task_flops[order])])
+    span = np.arange(k_total + 1) - np.arange(k_total + 1)[:, None]  # span[i, j] = j - i
+    block = np.where(span >= 0, span * (prefix - prefix[:, None]), np.inf)
+    dp = np.full((2 ** n_total, k_total + 1), np.inf)
+    dp[0, 0] = 0.0
+    step = np.zeros(dp.shape, dtype=np.int64)  # (K+1) n + i: dp[S][j] gave sorted users i..j-1 to n
+    bits = 1 << np.arange(n_total)
+    for subset in range(1, 2 ** n_total):
+        # for n outside S, S ^ bits[n] is a later subset, whose row is still inf
+        cand = dp[subset ^ bits, :, None] + block / inst.server_flops[:, None, None]
+        dp[subset] = cand.min(axis=(0, 1))
+        step[subset] = cand.reshape(-1, k_total + 1).argmin(axis=0)
+    idx = np.empty(k_total, dtype=np.int64)
+    subset, j = 2 ** n_total - 1, k_total
+    while subset:
+        n, i = divmod(int(step[subset, j]), k_total + 1)
+        idx[order[i:j]] = n
+        subset, j = subset ^ (1 << n), i
+    assoc = Association.from_server_indices(idx, n_total)
+    return assoc, association_objective(inst, assoc)

@@ -2,7 +2,7 @@
 
 Subcommands: ``run`` solves one scenario and prints the allocation, ``sweep``
 writes experiment CSVs, ``oracle-compare`` scores the relaxation pipeline
-against exhaustive enumeration on small instances, and ``fit-earnings`` fits
+against the exact association DP (up to about 40x8), and ``fit-earnings`` fits
 an earning family to a sample file (one ``x,score`` pair per line).
 
 Configuration precedence: built-in defaults < config file (flat
@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from . import harness
-from .association import brute_force_association, build_qcqp, gaussian_randomize, solve_association_sdr
+from .association import build_qcqp, exact_association, gaussian_randomize, solve_association_sdr
 from .earnings import EarnFamily, fit_params
 from .harness import ScenarioSpec, SweepKind, emit_results, generate_scenario, run_sweep
 from .model import snap_resolution
@@ -153,7 +153,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
         inst = build_qcqp(cfg, users, servers, resolutions)
         sdr = solve_association_sdr(inst)
         report = gaussian_randomize(inst, sdr.solution.x, args.samples, scen.seed)
-        _, best = brute_force_association(cfg, users, servers, resolutions)
+        _, best = exact_association(inst)
         ratio = report.best_objective / best
         worst_ratio = max(worst_ratio, ratio)
         bound_ok += sdr.lower_bound <= best + 1e-6
@@ -192,6 +192,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="base scenario seed")
     parser.add_argument("--users", type=int, help="number of users")
     parser.add_argument("--servers", type=int, help="number of edge servers")
+    parser.add_argument("--samples", type=int, default=SolveOptions.rand_samples_l,
+                        help="rounding sample count")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -203,8 +205,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _add_common(p_run)
     p_run.add_argument("--method", default="proposed", choices=harness.METHODS)
     p_run.add_argument("--omega", type=float, help="latency weight override")
-    p_run.add_argument("--samples", type=int, default=1000,
-                       help="rounding sample count")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run an experiment sweep to CSV")
@@ -215,7 +215,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_sweep.add_argument("--seeds", type=int, default=20)
     p_sweep.add_argument("--grid", help="comma-separated sweep values")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--samples", type=int, default=1000)
     p_sweep.add_argument("--sdp-tol", type=float, default=SolveOptions.sdp_tol)
     p_sweep.add_argument("--timings", action="store_true",
                          help="write measured wall times (breaks byte determinism)")
@@ -224,13 +223,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          "took 9 s on 2 vCPUs")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_oracle = sub.add_parser("oracle-compare",
-                              help="relaxation vs exhaustive enumeration")
+    p_oracle = sub.add_parser("oracle-compare", help="relaxation vs the exact association DP")
     _add_common(p_oracle)
     p_oracle.add_argument("--max-users", type=int, default=6)
     p_oracle.add_argument("--max-servers", type=int, default=3)
     p_oracle.add_argument("--instances", type=int, default=100)
-    p_oracle.add_argument("--samples", type=int, default=1000)
     p_oracle.set_defaults(func=_cmd_oracle_compare)
 
     p_fit = sub.add_parser("fit-earnings", help="fit an earning family to samples")
@@ -241,6 +238,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_fit.set_defaults(func=_cmd_fit_earnings)
 
     args = parser.parse_args(argv)
+    if args.command == "oracle-compare" and min(args.max_users, args.max_servers) < 2:
+        p_oracle.error("--max-users and --max-servers must be at least 2")
     return args.func(args)
 
 

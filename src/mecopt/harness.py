@@ -196,7 +196,8 @@ def _solve_method(method: str, cfg: SystemConfig, users, servers,
 
 def run_sweep(kind: SweepKind, spec: ScenarioSpec, methods: Sequence[str],
               grid: Sequence[float], num_seeds: int = 20,
-              rand_samples: int = 1000, sdp_tol: float = SolveOptions.sdp_tol,
+              rand_samples: int = SolveOptions.rand_samples_l,
+              sdp_tol: float = SolveOptions.sdp_tol,
               sdp_max_iter: int = SolveOptions.sdp_max_iter) -> List[ResultRow]:
     """Run every (grid point, seed, method) combination into result rows.
 

@@ -2,15 +2,20 @@
 
 import itertools
 import math
+from typing import Optional, Tuple
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from mecopt.association import _block_cost
+from mecopt.association import InstanceTooLargeError, _batch_objectives, _block_cost, build_qcqp
 from mecopt.earnings import DEFAULT_PARAMS, EarnFamily
 from mecopt.harness import ScenarioSpec, generate_scenario
 from mecopt.model import Association, SystemConfig, UserProfile, total_objective
-from mecopt.resolution import make_subproblem, optimal_resolution
+from mecopt.resolution import make_subproblem, optimal_resolution, resolution_objective
 from mecopt.sdp import _RHO_COLD, SdpSolution, SdpStatus, _check_symmetric, _clamp_negative
+
+BRUTE_FORCE_LIMIT = 1_000_000
+_BRUTE_FORCE_CHUNK = 8192
 
 
 def make_cfg(num_users=4, num_servers=2, **overrides) -> SystemConfig:
@@ -56,6 +61,76 @@ def nested_brute_force(cfg, users, servers, powers):
         if f < best[0]:
             best = (f, assoc, s)
     return best
+
+
+def brute_force_association(cfg, users, servers, resolutions) -> Tuple[Association, float]:
+    """Exhaustive minimum of the association subproblem (exactness oracle).
+
+    Guarded at N^K <= 1e6 assignments. Ties resolve to the lexicographically
+    first index tuple.
+    """
+    k_total, n_total = len(users), len(servers)
+    total = n_total ** k_total
+    if total > BRUTE_FORCE_LIMIT:
+        raise InstanceTooLargeError(
+            f"{n_total}^{k_total} = {total} assignments exceeds {BRUTE_FORCE_LIMIT}")
+    inst = build_qcqp(cfg, users, servers, resolutions)
+
+    best_obj = np.inf
+    best_idx: Optional[np.ndarray] = None
+    it = itertools.product(range(n_total), repeat=k_total)
+    while True:
+        block = list(itertools.islice(it, _BRUTE_FORCE_CHUNK))
+        if not block:
+            break
+        idx = np.asarray(block, dtype=np.int64)
+        objs = _batch_objectives(inst, idx)
+        i = int(np.argmin(objs))
+        if objs[i] < best_obj:
+            best_obj = float(objs[i])
+            best_idx = idx[i]
+    assert best_idx is not None
+    return Association.from_server_indices(best_idx, n_total), best_obj
+
+
+def joint_oracle(cfg, users, servers, powers):
+    """Exact joint optimum with powers fixed, as nested_brute_force returns it,
+    without enumerating assignments.
+
+    User k's objective term depends only on its server n and that server's
+    load L, so it is tabulated at its exact resolution for every (k, n, L);
+    the uplink latency, the same under every assignment, is left out of the
+    table. For each load vector summing to K, the best assignment matches
+    the users to the load slots (L_n slots of server n, each at cost
+    table[:, n, L_n]) by one linear assignment. The best load vector's
+    allocation is evaluated by total_objective.
+    """
+    k_total, n_total = len(users), len(servers)
+    res = np.empty((k_total, n_total, k_total))
+    table = np.empty((k_total, n_total, k_total))
+    for k, user in enumerate(users):
+        params = DEFAULT_PARAMS[user.earn_family]
+        uplink_flops = cfg.lambda_up_flop_per_bit * user.uplink_bits
+        for n, server in enumerate(servers):
+            for load in range(1, k_total + 1):
+                sub = make_subproblem(cfg, user, k, load, server)
+                s = res[k, n, load - 1] = optimal_resolution(sub, params)
+                table[k, n, load - 1] = cfg.eta_lat * cfg.weight_omega * uplink_flops * load \
+                    / server.compute_flops - resolution_objective(sub, params, s)
+    best = (np.inf, None)
+    for bars in itertools.combinations(range(k_total + n_total - 1), n_total - 1):
+        loads = np.diff(np.array([-1, *bars, k_total + n_total - 1])) - 1
+        slot_server = np.repeat(np.arange(n_total), loads)
+        slot_load = loads[slot_server]
+        cost = table[:, slot_server, slot_load - 1]
+        rows, cols = linear_sum_assignment(cost)
+        total = cost[rows, cols].sum()
+        if total < best[0]:
+            best = (total, slot_server[cols])
+    idx = best[1]
+    assoc = Association.from_server_indices(idx, n_total)
+    s = res[np.arange(k_total), idx, assoc.loads[idx] - 1]
+    return total_objective(cfg, users, servers, powers, s, assoc), assoc, s
 
 
 def spearman(xs, ys) -> float:

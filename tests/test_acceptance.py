@@ -10,8 +10,7 @@ import time
 
 import numpy as np
 
-from mecopt.association import (brute_force_association, build_qcqp,
-                                gaussian_randomize, solve_association_sdr)
+from mecopt.association import build_qcqp, gaussian_randomize, solve_association_sdr
 from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, eval_earning, fit_params
 from mecopt.harness import ScenarioSpec, SweepKind, emit_results, run_sweep
 from mecopt.model import evaluate_allocation
@@ -19,8 +18,8 @@ from mecopt.optimizer import SolveOptions, solve_joint
 from mecopt.power import (WBranch, energy_root_oracle, feasibility_ratio,
                           lambert_w, optimal_power)
 from mecopt.resolution import ResolutionSubproblem, optimal_resolution, resolution_objective
-from helpers import (make_cfg, make_user, nested_brute_force, random_one_hot,
-                     small_scenario, spearman)
+from helpers import (brute_force_association, joint_oracle, make_cfg, make_user,
+                     nested_brute_force, random_one_hot, small_scenario, spearman)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -119,6 +118,18 @@ def test_ac05_joint_solve_quality():
         hits += alloc.objective <= f_star + 0.05 * abs(f_star)
     _report("joint-solve-quality", hits >= 45,
             f"within 5% of nested brute force on {hits}/{instances}")
+
+
+def test_ac05_joint_solve_quality_at_desk_scale():
+    gaps = []
+    for seed in range(5000, 5006):
+        cfg, users, servers = small_scenario(seed, 20, 5, weight_omega=2.75)
+        alloc, _ = solve_joint(cfg, users, servers, SolveOptions())
+        f_star, _, _ = joint_oracle(cfg, users, servers, alloc.powers)
+        gaps.append((alloc.objective - f_star) / abs(f_star))
+    _report("joint-solve-quality-20x5", np.mean(gaps) <= 0.01 and max(gaps) <= 0.02,
+            f"above the exact joint optimum by {np.mean(gaps):.2%} on average, "
+            f"{max(gaps):.2%} at worst, on {len(gaps)} instances")
 
 
 def test_ac06_resolution_exactness():

@@ -5,13 +5,14 @@ import pytest
 
 from mecopt import association
 from mecopt.association import (InstanceTooLargeError, QcqpInstance, _AssignmentPolytope,
-                                association_objective, brute_force_association,
-                                build_qcqp, gaussian_randomize, solve_association_sdr)
+                                association_objective, build_qcqp, exact_association,
+                                gaussian_randomize, solve_association_sdr)
 from mecopt.model import Association, ServerProfile, evaluate_allocation
 from mecopt.optimizer import BaselineKind, SolveOptions, run_baseline, solve_joint
 from mecopt.sdp import SdpStatus
-from helpers import (AffineStep, MaskStep, consensus_sdp, dense_sdr_cost, generic_relaxation,
-                     make_cfg, make_user, random_one_hot, small_scenario)
+from helpers import (AffineStep, MaskStep, brute_force_association, consensus_sdp,
+                     dense_sdr_cost, generic_relaxation, make_cfg, make_user, random_one_hot,
+                     small_scenario)
 
 
 def _binary_vector(assoc: Association) -> np.ndarray:
@@ -273,7 +274,7 @@ def test_sdr_concentrates_on_fast_server():
     res = solve_association_sdr(inst, tol=1e-8)
     assert res.b_star[0, 0] > 0.99
     assert res.b_star[1, 1] < 0.01
-    assoc, _ = brute_force_association(cfg, [user], servers, [5e6])
+    assoc, _ = exact_association(inst)
     assert assoc.server_indices[0] == 0
 
 
@@ -291,7 +292,7 @@ def test_sdr_bound_below_brute_force(rng):
     res_px = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
     inst = build_qcqp(cfg, users, servers, res_px)
     res = solve_association_sdr(inst, tol=1e-8)
-    _, best = brute_force_association(cfg, users, servers, res_px)
+    _, best = exact_association(inst)
     assert res.lower_bound <= best + 1e-6
 
 
@@ -339,7 +340,7 @@ def test_rounding_close_to_brute_force(rng):
         inst = build_qcqp(cfg, users, servers, res_px)
         sdr = solve_association_sdr(inst)
         report = gaussian_randomize(inst, sdr.solution.x, 1000, rng_seed=trial)
-        _, best = brute_force_association(cfg, users, servers, res_px)
+        _, best = exact_association(inst)
         hits += report.best_objective <= 1.05 * best
     assert hits >= 9
 
@@ -418,14 +419,14 @@ def test_brute_force_balances_identical_users():
     cfg = make_cfg(num_users=2, num_servers=2)
     users = [make_user(), make_user()]
     servers = [ServerProfile(1e12), ServerProfile(1e12)]
-    assoc, _ = brute_force_association(cfg, users, servers, [2e6, 2e6])
+    assoc, _ = exact_association(build_qcqp(cfg, users, servers, [2e6, 2e6]))
     assert assoc.loads.tolist() == [1, 1]
 
 
 def test_brute_force_single_user_picks_fastest():
     cfg = make_cfg(num_users=1, num_servers=3)
     servers = [ServerProfile(1e12), ServerProfile(4e12), ServerProfile(2e12)]
-    assoc, _ = brute_force_association(cfg, [make_user()], servers, [2e6])
+    assoc, _ = exact_association(build_qcqp(cfg, [make_user()], servers, [2e6]))
     assert assoc.server_indices[0] == 1
 
 
@@ -433,16 +434,26 @@ def test_brute_force_dominates_random_assignments(rng):
     cfg, users, servers = small_scenario(40, 5, 3)
     res_px = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
     inst = build_qcqp(cfg, users, servers, res_px)
-    _, best = brute_force_association(cfg, users, servers, res_px)
+    _, best = exact_association(inst)
     for _ in range(50):
         assoc = random_one_hot(rng, len(users), 3)
         assert best <= association_objective(inst, assoc) + 1e-12
 
 
 def test_brute_force_guard():
-    cfg, users, servers = small_scenario(41, 9, 2)
-    users = users * 3  # 27 users on 2 servers -> 2^27 > 1e6
+    cfg, users, servers = small_scenario(41, 10, 20)
+    users = users * 10  # 100 users on 20 servers -> 2^20 * 20 * 101^2, about 2e11 DP terms
     cfg = dataclasses.replace(cfg, num_users=len(users))
     with pytest.raises(InstanceTooLargeError):
-        brute_force_association(cfg, users, servers,
-                                np.full(len(users), cfg.s_min_px))
+        exact_association(build_qcqp(cfg, users, servers, np.full(len(users), cfg.s_min_px)))
+
+
+def test_exact_association_matches_enumeration(rng):
+    for seed in range(100, 160):
+        cfg, users, servers = small_scenario(seed, int(rng.integers(1, 9)), int(rng.integers(1, 5)))
+        res_px = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
+        inst = build_qcqp(cfg, users, servers, res_px)
+        assoc, obj = exact_association(inst)
+        _, best = brute_force_association(cfg, users, servers, res_px)
+        assert obj == pytest.approx(best, rel=1e-12)
+        assert obj == association_objective(inst, assoc)

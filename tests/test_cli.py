@@ -63,6 +63,25 @@ def test_oracle_compare_small(capsys):
     assert lines[-1].endswith(f"sdp iterations {sum(per_instance)}")
 
 
+def test_oracle_compare_beyond_enumeration(capsys):
+    code = main(["oracle-compare", "--max-users", "14", "--max-servers", "4",
+                 "--instances", "2", "--samples", "100", "--seed", "4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "bound<=exact on 2/2" in out
+    sizes = [tuple(int(part.split("=")[1]) for part in line.split()[2:4])
+             for line in out.splitlines()[:-1]]
+    assert max(n ** k for k, n in sizes) > 1_000_000
+
+
+@pytest.mark.parametrize("flag", ["--max-users", "--max-servers"])
+def test_oracle_compare_rejects_fewer_than_two(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-compare", flag, "1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_fit_earnings_roundtrip(tmp_path, capsys):
     params = DEFAULT_PARAMS[EarnFamily.EXP]
     path = tmp_path / "samples.txt"

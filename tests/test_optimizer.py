@@ -11,7 +11,7 @@ from mecopt.model import ServerProfile, total_objective
 from mecopt.optimizer import BaselineKind, SolveOptions, run_baseline, solve_joint
 from mecopt.power import optimal_power
 from mecopt.resolution import make_subproblem, optimal_resolution
-from helpers import make_cfg, make_user, nested_brute_force, small_scenario
+from helpers import joint_oracle, make_cfg, make_user, nested_brute_force, small_scenario
 
 FAST = dict(sdp_tol=1e-4, sdp_max_iter=4000)
 
@@ -171,6 +171,16 @@ def test_joint_solve_close_to_nested_brute_force():
         assert alloc.objective >= f_star - 1e-9
         hits += alloc.objective <= f_star + 0.05 * abs(f_star)
     assert hits >= 9
+
+
+def test_joint_oracle_equals_nested_brute_force():
+    for trial in range(10):
+        cfg, users, servers = small_scenario(3000 + trial, 5, 3, weight_omega=2.75)
+        powers = np.array([optimal_power(cfg, u).p_star for u in users])
+        f_star, _, _ = nested_brute_force(cfg, users, servers, powers)
+        f_oracle, assoc, s = joint_oracle(cfg, users, servers, powers)
+        assert f_oracle == pytest.approx(f_star, rel=1e-12)
+        assert f_oracle == total_objective(cfg, users, servers, powers, s, assoc)
 
 
 def test_optlat_never_slower_than_random_on_average():
