@@ -15,8 +15,7 @@ from .sdp import SdpSolution, SdpStatus, project_psd, solve_sdp
 from .association import (QcqpInstance, RoundingReport, SdrResult,
                           build_qcqp, exact_association,
                           gaussian_randomize, solve_association_sdr)
-from .resolution import (ResolutionSubproblem, latency_coefficient,
-                         make_subproblem, optimal_resolution)
+from .resolution import optimal_resolution
 from .optimizer import (BaselineKind, SolveOptions, SolveTrace, run_baseline,
                         solve_joint)
 from .harness import (ResultRow, ScenarioSpec, SweepKind, emit_results,

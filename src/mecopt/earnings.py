@@ -171,14 +171,6 @@ def _beta_grid(family: EarnFamily) -> np.ndarray:
     return np.geomspace(1e-2, 1e3, 400)
 
 
-def _basis(family: EarnFamily, beta: float, x: np.ndarray) -> np.ndarray:
-    if family is EarnFamily.POW:
-        return np.power(x, beta)
-    if family is EarnFamily.LOG:
-        return np.log1p(beta * x)
-    return -np.expm1(-beta * x)
-
-
 def _basis_dbeta(family: EarnFamily, beta: float, x: np.ndarray) -> np.ndarray:
     if family is EarnFamily.POW:
         out = np.zeros_like(x)
@@ -208,13 +200,16 @@ def fit_params(samples: Iterable[Tuple[float, float]],
     if np.ptp(y) <= 1e-12 * max(1.0, float(np.max(np.abs(y)))):
         raise DegenerateFitError("scores are constant; no curve shape to fit")
 
+    def basis(beta: float) -> np.ndarray:
+        return _h(EarnParams(family, 1.0, beta), x)
+
     def sse_of(alpha: float, beta: float) -> float:
-        r = alpha * _basis(family, beta, x) - y
+        r = alpha * basis(beta) - y
         return float(r @ r)
 
     best = None
     for beta in _beta_grid(family):
-        f = _basis(family, beta, x)
+        f = basis(beta)
         denom = float(f @ f)
         if denom <= 0:
             continue
@@ -230,7 +225,7 @@ def fit_params(samples: Iterable[Tuple[float, float]],
     sse, alpha, beta = best
     converged = False
     for _ in range(max_iter):
-        f = _basis(family, beta, x)
+        f = basis(beta)
         jac = np.column_stack([f, alpha * _basis_dbeta(family, beta, x)])
         r = alpha * f - y
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)

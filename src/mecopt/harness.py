@@ -20,7 +20,8 @@ import numpy as np
 
 from .association import SdrResult
 from .earnings import EarnFamily
-from .model import ServerProfile, SystemConfig, UserProfile, user_earnings
+from .model import (STEREO_BITS_PER_PIXEL, ServerProfile, SystemConfig,
+                    UserProfile, user_earnings)
 from .optimizer import BaselineKind, SolveOptions, run_baseline, solve_joint
 from .power import feasibility_ratio
 
@@ -108,7 +109,7 @@ def _draw_user(rng: np.random.Generator, spec: ScenarioSpec) -> UserProfile:
         power_cap_w=spec.power_cap_w,
         # per-pixel complexity kappa stored per bit so that flops per frame
         # equal kappa times the pixel count exactly
-        lambda_down_flop_per_bit=kappa * compression / 48.0,
+        lambda_down_flop_per_bit=kappa * compression / STEREO_BITS_PER_PIXEL,
     )
 
 

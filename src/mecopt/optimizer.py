@@ -2,11 +2,11 @@
 
 Powers are set once by the closed form, then the assignment (relaxation plus
 randomized rounding, accepted only if it strictly lowers the objective) and
-the per-user resolutions (exact closed form) alternate until the objective
-stabilizes. The three reference methods share the same power rule so every
-comparison isolates the assignment/resolution choices. A caller that solves
-many methods or weights on one scenario passes a dict as sdr_cache, and
-relaxations that differ only in cost scale are solved once.
+the resolutions (every user's closed form in one pass) alternate until the
+objective stabilizes. The three reference methods share the same power rule
+so every comparison isolates the assignment/resolution choices. A caller
+that solves many methods or weights on one scenario passes a dict as
+sdr_cache, and relaxations that differ only in cost scale are solved once.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import numpy as np
 
 from .association import (QcqpInstance, SdrResult, _block_cost, build_qcqp,
                           gaussian_randomize, solve_association_sdr)
-from .earnings import DEFAULT_PARAMS
 from .model import (Allocation, Association, ServerProfile, SystemConfig,
                     UserProfile, evaluate_allocation, total_objective)
 from .power import optimal_power
-from .resolution import make_subproblem, optimal_resolution
+from .resolution import optimal_resolution
 from .sdp import SdpSolution
 
 __all__ = [
@@ -111,19 +110,6 @@ def _prop1_powers(cfg: SystemConfig, users: Sequence[UserProfile]) -> np.ndarray
     return np.array([optimal_power(cfg, u).p_star for u in users])
 
 
-def _optimize_resolutions(cfg: SystemConfig, users: Sequence[UserProfile],
-                          servers: Sequence[ServerProfile],
-                          assoc: Association) -> np.ndarray:
-    loads = assoc.loads
-    idx = assoc.server_indices
-    out = np.empty(len(users))
-    for k, user in enumerate(users):
-        n = int(idx[k])
-        sub = make_subproblem(cfg, user, k, int(loads[n]), servers[n])
-        out[k] = optimal_resolution(sub, DEFAULT_PARAMS[user.earn_family])
-    return out
-
-
 def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
                 servers: Sequence[ServerProfile], opts: SolveOptions,
                 sdr_cache: Optional[Dict[bytes, SdrResult]] = None,
@@ -164,7 +150,7 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
         if accepted:
             assoc = report.best_assoc
 
-        resolutions = _optimize_resolutions(cfg, users, servers, assoc)
+        resolutions = optimal_resolution(cfg, users, servers, assoc)
         f_new = total_objective(cfg, users, servers, powers, resolutions, assoc)
         trace.objective_values.append(f_new)
         if abs(f_new - f_prev) <= _TOL_REL * abs(f_prev):

@@ -1,137 +1,75 @@
-"""Per-user downlink resolution.
+"""Downlink resolution of every user in one pass.
 
 With power and association fixed, each user's contribution to the objective
 separates into a concave earnings term minus a linear latency cost in the
-pixel count, so the per-user optimum is a closed-form stationary point
-clamped to the allowed range. A derivative bisection covers parameter
-combinations the closed forms do not.
+pixel count, so each user's optimum is its family's closed-form stationary
+point clamped to the allowed range.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence
 
-from .earnings import EarnFamily, EarnParams, _dh, _h
-from .model import STEREO_BITS_PER_PIXEL, ServerProfile, SystemConfig, UserProfile
+import numpy as np
 
-__all__ = [
-    "ResolutionSubproblem",
-    "latency_coefficient",
-    "make_subproblem",
-    "optimal_resolution",
-    "resolution_objective",
-]
+from .earnings import DEFAULT_PARAMS, EarnFamily
+from .model import (STEREO_BITS_PER_PIXEL, Association, ServerProfile,
+                    SystemConfig, UserProfile, _per_user)
+
+__all__ = ["optimal_resolution"]
 
 
-@dataclass(frozen=True)
-class ResolutionSubproblem:
-    """Coefficients of one user's resolution trade-off.
+def optimal_resolution(cfg: SystemConfig, users: Sequence[UserProfile],
+                       servers: Sequence[ServerProfile],
+                       association: Association) -> np.ndarray:
+    """Each user's utility-maximizing resolution under the given association.
 
-    latency_coeff is the utility cost of one extra pixel (transmission plus
-    compute share), earn_scale the utility value of one earnings unit,
-    dx_ds and x_offset map pixels into the normalized earning input.
+    User k's utility depends on its resolution s through
+    eta_earn * tau_k * h_k(x_k(s)) - slope_k * s. x_k(s) is the normalized
+    input of normalize_input, and slope_k is eta_lat * omega times the
+    latency of one more pixel: its downlink bits over the downlink rate plus
+    their FLOPs times the server's user count over its compute rate.
     """
-
-    user_index: int
-    latency_coeff: float
-    earn_scale: float
-    dx_ds: float
-    x_offset: float
-    bounds: Tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if not self.latency_coeff > 0:
-            raise ValueError("latency_coeff must be strictly positive")
-        if not self.dx_ds > 0:
-            raise ValueError("dx_ds must be strictly positive")
-        if not self.bounds[0] <= self.bounds[1]:
-            raise ValueError("bounds must be ordered")
-
-    def x_of(self, s: float) -> float:
-        return self.x_offset + self.dx_ds * s
+    if association.assign.shape != (len(users), len(servers)):
+        raise ValueError(f"association has shape {association.assign.shape}, "
+                         f"expected ({len(users)}, {len(servers)})")
+    idx = association.server_indices
+    flops = np.array([s.compute_flops for s in servers], dtype=float)
+    rate = _per_user(users, "downlink_rate_bps")
+    per_bit = 1.0 / rate + _per_user(users, "lambda_down_flop_per_bit") \
+        * association.loads[idx] / flops[idx]
+    slope = cfg.eta_lat * cfg.weight_omega \
+        * (STEREO_BITS_PER_PIXEL / _per_user(users, "compression_ratio")) * per_bit
+    return _closed_form(cfg, [u.earn_family for u in users], slope,
+                        cfg.eta_earn * _per_user(users, "earn_scale"),
+                        0.5 * rate / cfg.rate_norm_bps)
 
 
-def latency_coefficient(cfg: SystemConfig, user: UserProfile,
-                        server_count_on_assigned: int,
-                        server: ServerProfile) -> float:
-    """Marginal utility cost of one pixel: downlink transmission plus the
-    equal compute share on the assigned server."""
-    if server_count_on_assigned < 1:
-        raise ValueError("assigned server must carry at least this user")
-    per_bit = 1.0 / user.downlink_rate_bps \
-        + user.lambda_down_flop_per_bit * server_count_on_assigned / server.compute_flops
-    return cfg.eta_lat * cfg.weight_omega \
-        * (STEREO_BITS_PER_PIXEL / user.compression_ratio) * per_bit
+def _closed_form(cfg: SystemConfig, families: Sequence[EarnFamily],
+                 slope: np.ndarray, earn_scale: np.ndarray,
+                 x_offset: np.ndarray) -> np.ndarray:
+    """Maximizers over [s_min, s_max] of earn_scale * h(x_offset + dx_ds * s)
+    - slope * s, elementwise, with dx_ds = 0.5 / res_norm_px.
 
-
-def make_subproblem(cfg: SystemConfig, user: UserProfile, user_index: int,
-                    server_count_on_assigned: int,
-                    server: ServerProfile) -> ResolutionSubproblem:
-    return ResolutionSubproblem(
-        user_index=user_index,
-        latency_coeff=latency_coefficient(cfg, user, server_count_on_assigned, server),
-        earn_scale=cfg.eta_earn * user.earn_scale,
-        dx_ds=0.5 / cfg.res_norm_px,
-        x_offset=0.5 * user.downlink_rate_bps / cfg.rate_norm_bps,
-        bounds=(cfg.s_min_px, cfg.s_max_px),
-    )
-
-
-def resolution_objective(sub: ResolutionSubproblem, params: EarnParams,
-                         s: float) -> float:
-    """The concave per-user term being maximized at resolution s."""
-    return sub.earn_scale * float(_h(params, sub.x_of(s))) - sub.latency_coeff * s
-
-
-def _phi_prime(sub: ResolutionSubproblem, params: EarnParams, s: float) -> float:
-    return sub.earn_scale * float(_dh(params, sub.x_of(s))) * sub.dx_ds \
-        - sub.latency_coeff
-
-
-def _bisect_stationary(sub: ResolutionSubproblem, params: EarnParams,
-                       iterations: int = 100) -> float:
-    lo, hi = sub.bounds
-    if _phi_prime(sub, params, lo) <= 0:
-        return lo
-    if _phi_prime(sub, params, hi) >= 0:
-        return hi
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if _phi_prime(sub, params, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def optimal_resolution(sub: ResolutionSubproblem, params: EarnParams) -> float:
-    """Maximizer of the per-user term over the resolution bounds.
-
-    The earnings term is concave, so the unconstrained stationary point
-    clamped to the bounds is exact; degenerate stationary points (outside
-    the normalized range, or undefined for the parameter set) are absorbed
-    by the clamp or the bisection fallback.
+    The three arrays share a leading axis, the user, and broadcast against
+    slope: families[k] picks the DEFAULT_PARAMS curve h of row k. h is
+    increasing and concave, so the stationary point
+    h'(x) = slope / (earn_scale * dx_ds) clamped to the bounds is exact.
+    Where the ratio of the two slopes overflows or underflows, the
+    stationary point becomes +-inf and the clamp returns the bound it lies
+    beyond.
     """
-    lo, hi = sub.bounds
-    marginal = sub.earn_scale * params.alpha * params.beta * sub.dx_ds
-    if marginal <= 0.0:
-        return lo
-    c1 = sub.latency_coeff
-    try:
-        if params.family is EarnFamily.POW:
-            if abs(params.beta - 1.0) < 1e-12:
-                slope = sub.earn_scale * params.alpha * sub.dx_ds - c1
-                return hi if slope > 0 else lo
-            x_star = (c1 / marginal) ** (1.0 / (params.beta - 1.0))
-        elif params.family is EarnFamily.LOG:
-            x_star = (marginal / c1 - 1.0) / params.beta
-        else:
-            x_star = -math.log(c1 / marginal) / params.beta
-    except (OverflowError, ValueError):
-        return _bisect_stationary(sub, params)
-    if not math.isfinite(x_star):
-        return _bisect_stationary(sub, params)
-    s_star = (x_star - sub.x_offset) / sub.dx_ds
-    return min(max(s_star, lo), hi)
+    dx_ds = 0.5 / cfg.res_norm_px
+    x_star = np.empty(np.shape(slope))
+    with np.errstate(over="ignore", divide="ignore"):
+        for family, p in DEFAULT_PARAMS.items():
+            mine = np.array([f is family for f in families], dtype=bool)
+            c1 = slope[mine]
+            marginal = earn_scale[mine] * p.alpha * p.beta * dx_ds
+            if family is EarnFamily.POW:
+                x_star[mine] = (c1 / marginal) ** (1.0 / (p.beta - 1.0))
+            elif family is EarnFamily.LOG:
+                x_star[mine] = (marginal / c1 - 1.0) / p.beta
+            else:
+                x_star[mine] = -np.log(c1 / marginal) / p.beta
+        return np.clip((x_star - x_offset) / dx_ds, cfg.s_min_px, cfg.s_max_px)

@@ -8,10 +8,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from mecopt.association import InstanceTooLargeError, _batch_objectives, _block_cost, build_qcqp
-from mecopt.earnings import DEFAULT_PARAMS, EarnFamily
+from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, _h
 from mecopt.harness import ScenarioSpec, generate_scenario
-from mecopt.model import Association, SystemConfig, UserProfile, total_objective
-from mecopt.resolution import make_subproblem, optimal_resolution, resolution_objective
+from mecopt.model import (STEREO_BITS_PER_PIXEL, Association, SystemConfig, UserProfile,
+                          _per_user, total_objective)
+from mecopt.resolution import _closed_form, optimal_resolution
 from mecopt.sdp import _RHO_COLD, SdpSolution, SdpStatus, _check_symmetric, _clamp_negative
 
 BRUTE_FORCE_LIMIT = 1_000_000
@@ -44,19 +45,28 @@ def small_scenario(seed, num_users, num_servers, **cfg_overrides):
     return generate_scenario(spec)
 
 
+def resolution_objective(cfg, families, slope, earn_scale, x_offset, s):
+    """The terms of a user's utility that vary with its resolution s,
+    earn_scale * h(x_offset + dx_ds * s) - slope * s, with dx_ds =
+    0.5 / res_norm_px, elementwise: the quantity resolution._closed_form
+    maximizes. The arrays broadcast, and the leading axis of the result is
+    the user: families[k] picks the DEFAULT_PARAMS curve h of row k."""
+    x = x_offset + 0.5 / cfg.res_norm_px * s
+    h = np.empty(x.shape)
+    for family, params in DEFAULT_PARAMS.items():
+        mine = np.array([f is family for f in families], dtype=bool)
+        h[mine] = _h(params, x[mine])
+    return earn_scale * h - slope * s
+
+
 def nested_brute_force(cfg, users, servers, powers):
     """Exact joint optimum with powers fixed: enumerate every assignment and
-    solve each user's resolution exactly under it."""
-    k_total, n_total = len(users), len(servers)
+    solve the resolutions exactly under it."""
+    n_total = len(servers)
     best = (np.inf, None, None)
-    for combo in itertools.product(range(n_total), repeat=k_total):
+    for combo in itertools.product(range(n_total), repeat=len(users)):
         assoc = Association.from_server_indices(np.array(combo), n_total)
-        loads = assoc.loads
-        s = np.empty(k_total)
-        for k, user in enumerate(users):
-            n = combo[k]
-            sub = make_subproblem(cfg, user, k, int(loads[n]), servers[n])
-            s[k] = optimal_resolution(sub, DEFAULT_PARAMS[user.earn_family])
+        s = optimal_resolution(cfg, users, servers, assoc)
         f = total_objective(cfg, users, servers, powers, s, assoc)
         if f < best[0]:
             best = (f, assoc, s)
@@ -98,25 +108,31 @@ def joint_oracle(cfg, users, servers, powers):
     without enumerating assignments.
 
     User k's objective term depends only on its server n and that server's
-    load L, so it is tabulated at its exact resolution for every (k, n, L);
-    the uplink latency, the same under every assignment, is left out of the
-    table. For each load vector summing to K, the best assignment matches
+    load L, so it is tabulated at its exact resolution for every (k, n, L)
+    in one array evaluation; the uplink latency, the same under every
+    assignment, is left out of the table. For each load vector summing to K, the best assignment matches
     the users to the load slots (L_n slots of server n, each at cost
     table[:, n, L_n]) by one linear assignment. The best load vector's
     allocation is evaluated by total_objective.
     """
     k_total, n_total = len(users), len(servers)
-    res = np.empty((k_total, n_total, k_total))
-    table = np.empty((k_total, n_total, k_total))
-    for k, user in enumerate(users):
-        params = DEFAULT_PARAMS[user.earn_family]
-        uplink_flops = cfg.lambda_up_flop_per_bit * user.uplink_bits
-        for n, server in enumerate(servers):
-            for load in range(1, k_total + 1):
-                sub = make_subproblem(cfg, user, k, load, server)
-                s = res[k, n, load - 1] = optimal_resolution(sub, params)
-                table[k, n, load - 1] = cfg.eta_lat * cfg.weight_omega * uplink_flops * load \
-                    / server.compute_flops - resolution_objective(sub, params, s)
+    families = [u.earn_family for u in users]
+
+    def per_user(name):
+        return _per_user(users, name)[:, None, None]
+
+    rate = per_user("downlink_rate_bps")
+    flops = np.array([srv.compute_flops for srv in servers])[None, :, None]
+    load = np.arange(1, k_total + 1)[None, None, :]
+    slope = cfg.eta_lat * cfg.weight_omega \
+        * (STEREO_BITS_PER_PIXEL / per_user("compression_ratio")) \
+        * (1.0 / rate + per_user("lambda_down_flop_per_bit") * load / flops)
+    earn_scale = cfg.eta_earn * per_user("earn_scale")
+    x_offset = 0.5 * rate / cfg.rate_norm_bps
+    res = _closed_form(cfg, families, slope, earn_scale, x_offset)
+    uplink_flops = cfg.lambda_up_flop_per_bit * per_user("uplink_bits")
+    table = cfg.eta_lat * cfg.weight_omega * uplink_flops * load / flops \
+        - resolution_objective(cfg, families, slope, earn_scale, x_offset, res)
     best = (np.inf, None)
     for bars in itertools.combinations(range(k_total + n_total - 1), n_total - 1):
         loads = np.diff(np.array([-1, *bars, k_total + n_total - 1])) - 1

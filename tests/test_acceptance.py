@@ -17,9 +17,10 @@ from mecopt.model import evaluate_allocation
 from mecopt.optimizer import SolveOptions, solve_joint
 from mecopt.power import (WBranch, energy_root_oracle, feasibility_ratio,
                           lambert_w, optimal_power)
-from mecopt.resolution import ResolutionSubproblem, optimal_resolution, resolution_objective
+from mecopt.resolution import _closed_form
 from helpers import (brute_force_association, joint_oracle, make_cfg, make_user,
-                     nested_brute_force, random_one_hot, small_scenario, spearman)
+                     nested_brute_force, random_one_hot, resolution_objective,
+                     small_scenario, spearman)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -134,28 +135,23 @@ def test_ac05_joint_solve_quality_at_desk_scale():
 
 def test_ac06_resolution_exactness():
     rng = np.random.default_rng(106)
-    families = list(EarnFamily)
-    failures = 0
-    for trial in range(300):
-        params = DEFAULT_PARAMS[families[trial % 3]]
-        sub = ResolutionSubproblem(
-            user_index=0,
-            latency_coeff=10 ** rng.uniform(-9.5, -5.0),
-            earn_scale=rng.uniform(0.2, 4.0),
-            dx_ds=0.5 / (7680 * 4320),
-            x_offset=rng.uniform(0.25, 0.5),
-            bounds=(1280 * 720, 7680 * 4320),
-        )
-        s_star = optimal_resolution(sub, params)
-        grid = np.linspace(sub.bounds[0], sub.bounds[1], 10_000)
-        vals = np.array([resolution_objective(sub, params, float(s))
-                         for s in grid])
-        best = int(np.argmax(vals))
-        lo = max(best - 1, 0)
-        hi = min(best + 1, len(grid) - 1)
-        step_var = (vals[best] - vals[lo]) + (vals[best] - vals[hi])
-        if resolution_objective(sub, params, s_star) < vals[best] - step_var - 1e-9:
-            failures += 1
+    cfg = make_cfg()
+    families = [list(EarnFamily)[trial % 3] for trial in range(300)]
+    slope, earn_scale, x_offset = np.array(
+        [(10 ** rng.uniform(-9.5, -5.0), rng.uniform(0.2, 4.0), rng.uniform(0.25, 0.5))
+         for _ in range(300)]).T
+    s_star = _closed_form(cfg, families, slope, earn_scale, x_offset)
+    grid = np.linspace(cfg.s_min_px, cfg.s_max_px, 10_000)
+    vals = resolution_objective(cfg, families, slope[:, None], earn_scale[:, None],
+                                x_offset[:, None], grid)
+    rows = np.arange(300)
+    best = np.argmax(vals, axis=1)
+    lo = np.maximum(best - 1, 0)
+    hi = np.minimum(best + 1, len(grid) - 1)
+    top = vals[rows, best]
+    step_var = (top - vals[rows, lo]) + (top - vals[rows, hi])
+    at_star = resolution_objective(cfg, families, slope, earn_scale, x_offset, s_star)
+    failures = int(np.sum(at_star < top - step_var - 1e-9))
     _report("resolution-exactness", failures == 0,
             f"{300 - failures}/300 subproblems beat the 10k grid")
 

@@ -7,10 +7,10 @@ from mecopt import optimizer
 from mecopt.association import build_qcqp, solve_association_sdr
 from mecopt.earnings import DEFAULT_PARAMS
 from mecopt.harness import ScenarioSpec, generate_scenario
-from mecopt.model import ServerProfile, total_objective
+from mecopt.model import Association, ServerProfile, total_objective
 from mecopt.optimizer import BaselineKind, SolveOptions, run_baseline, solve_joint
 from mecopt.power import optimal_power
-from mecopt.resolution import make_subproblem, optimal_resolution
+from mecopt.resolution import optimal_resolution
 from helpers import joint_oracle, make_cfg, make_user, nested_brute_force, small_scenario
 
 FAST = dict(sdp_tol=1e-4, sdp_max_iter=4000)
@@ -25,13 +25,11 @@ def test_single_user_single_server_terminates_quickly():
     assert len(trace.objective_values) - 1 <= 2
 
     p_star = optimal_power(cfg, users[0]).p_star
-    sub = make_subproblem(cfg, users[0], 0, 1, servers[0])
-    s_star = optimal_resolution(sub, DEFAULT_PARAMS[users[0].earn_family])
+    assoc = Association.from_server_indices([0], 1)
+    s_star = optimal_resolution(cfg, users, servers, assoc)
     assert alloc.powers[0] == p_star
-    assert alloc.resolutions[0] == pytest.approx(s_star, rel=1e-12)
-    from mecopt.model import Association
-    want = total_objective(cfg, users, servers, [p_star], [s_star],
-                           Association.from_server_indices([0], 1))
+    assert alloc.resolutions == pytest.approx(s_star, rel=1e-12)
+    want = total_objective(cfg, users, servers, [p_star], s_star, assoc)
     assert alloc.objective == pytest.approx(want, rel=1e-12)
 
 

@@ -1,142 +1,129 @@
-import itertools
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, EarnParams
-from mecopt.model import Association, ServerProfile, total_objective
-from mecopt.resolution import (ResolutionSubproblem, latency_coefficient,
-                               make_subproblem, optimal_resolution,
-                               resolution_objective)
-from helpers import make_cfg, make_user, small_scenario
+from mecopt.earnings import EarnFamily
+from mecopt.model import Association, total_objective
+from mecopt.resolution import _closed_form, optimal_resolution
+from helpers import make_cfg, random_one_hot, resolution_objective, small_scenario
+
+FAMILIES = list(EarnFamily)
 
 
-def test_latency_coefficient_pure_transmission():
-    # compute term switched off by a vanishing per-bit complexity
-    cfg = make_cfg(weight_omega=2.0, eta_lat=3.0)
-    user = make_user(compression_ratio=480.0, downlink_rate_bps=10e6,
-                     lambda_down_flop_per_bit=1e-300)
-    c1 = latency_coefficient(cfg, user, 1, ServerProfile(1e12))
-    want = 3.0 * 2.0 * (48.0 / 480.0) / 10e6
-    assert c1 == pytest.approx(want, rel=1e-12)
+def _mixed_scenario(seed, num_users, num_servers, **cfg_overrides):
+    """small_scenario with the earning families assigned in turn, so every
+    family is present from three users on."""
+    cfg, users, servers = small_scenario(seed, num_users, num_servers, **cfg_overrides)
+    users = [dataclasses.replace(u, earn_family=FAMILIES[k % 3]) for k, u in enumerate(users)]
+    return cfg, users, servers
 
 
-def test_latency_coefficient_compute_share_scales_with_load():
-    cfg = make_cfg()
-    user = make_user(downlink_rate_bps=1e18)  # transmission part negligible
-    server = ServerProfile(1e12)
-    c1 = latency_coefficient(cfg, user, 1, server)
-    c2 = latency_coefficient(cfg, user, 2, server)
-    assert c2 == pytest.approx(2.0 * c1, rel=1e-9)
-    with pytest.raises(ValueError):
-        latency_coefficient(cfg, user, 0, server)
+@pytest.mark.parametrize("seed", [52, 53, 54])
+def test_no_single_user_move_lowers_the_objective(seed):
+    # at omega = 1 these scenarios put users at both bounds and between them
+    rng = np.random.default_rng(seed)
+    cfg, users, servers = _mixed_scenario(seed, 5, 2)
+    assoc = random_one_hot(rng, 5, 2)
+    powers = rng.uniform(0.05, 0.2, 5)
+    s_star = optimal_resolution(cfg, users, servers, assoc)
+    f_star = total_objective(cfg, users, servers, powers, s_star, assoc)
+    grid = np.linspace(cfg.s_min_px, cfg.s_max_px, 2001)
+    for k in range(5):
+        moved = s_star.copy()
+        for s in grid:
+            moved[k] = s
+            assert total_objective(cfg, users, servers, powers, moved, assoc) \
+                >= f_star - 1e-12 * abs(f_star), (k, s)
+    interior = (s_star > cfg.s_min_px) & (s_star < cfg.s_max_px)
+    assert interior.any(), "the check needs a user between the bounds"
 
 
-def test_latency_coefficient_is_objective_slope_without_earnings(rng):
-    cfg, users, servers = small_scenario(50, 3, 2, eta_earn=1e-300,
-                                         weight_omega=1.7)
-    assoc = Association.from_server_indices([0, 1, 0], 2)
-    powers = np.full(3, 0.1)
-    res = rng.uniform(cfg.s_min_px, cfg.s_max_px / 2, 3)
-    k = 0
-    n = int(assoc.server_indices[k])
-    c1 = latency_coefficient(cfg, users[k], int(assoc.loads[n]), servers[n])
-    delta = 1e4
-    bumped = res.copy()
-    bumped[k] += delta
-    df = total_objective(cfg, users, servers, powers, bumped, assoc) \
-        - total_objective(cfg, users, servers, powers, res, assoc)
-    assert df == pytest.approx(c1 * delta, rel=1e-6)
+@pytest.mark.parametrize("weights, bound", [(dict(eta_earn=1e-300), "s_min_px"),
+                                            (dict(eta_lat=1e-300), "s_max_px")])
+def test_vanishing_weights_drive_every_user_to_a_bound(weights, bound):
+    cfg, users, servers = _mixed_scenario(55, 6, 2, **weights)
+    assoc = Association.from_server_indices([0, 1, 0, 1, 0, 0], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = optimal_resolution(cfg, users, servers, assoc)
+    assert np.all(s == getattr(cfg, bound))
 
 
-def _subproblem(**kw):
-    base = dict(user_index=0, latency_coeff=2e-7, earn_scale=1.0,
-                dx_ds=0.5 / (7680 * 4320), x_offset=0.375,
-                bounds=(1280 * 720, 7680 * 4320))
-    base.update(kw)
-    return ResolutionSubproblem(**base)
+def test_per_user_solves_commute():
+    # A user's resolution follows from its own data and its server's load, so
+    # reordering the users reorders the resolutions and nothing else.
+    cfg, users, servers = _mixed_scenario(51, 6, 2)
+    assoc = Association.from_server_indices([0, 1, 0, 1, 1, 0], 2)
+    s = optimal_resolution(cfg, users, servers, assoc)
+    perm = np.random.default_rng(51).permutation(6)
+    moved = optimal_resolution(cfg, [users[k] for k in perm], servers,
+                               Association(assoc.assign[perm]))
+    assert moved == pytest.approx(s[perm], rel=1e-14)
+    assert not np.array_equal(s, s[perm])
+
+
+def test_mismatched_association_is_rejected():
+    cfg, users, servers = small_scenario(56, 4, 2)
+    for assoc in (Association.from_server_indices([0, 1, 0], 2),
+                  Association.from_server_indices([0, 1, 0, 2], 3)):
+        with pytest.raises(ValueError, match="association has shape"):
+            optimal_resolution(cfg, users, servers, assoc)
+
+
+def _coefficients(count, slope=2e-7, earn_scale=1.0, x_offset=0.375):
+    """Arrays of count copies of one user's coefficients."""
+    return [np.full(count, float(v)) for v in (slope, earn_scale, x_offset)]
 
 
 def test_vanishing_latency_cost_drives_to_max():
-    sub = _subproblem(latency_coeff=1e-300)
-    for params in DEFAULT_PARAMS.values():
-        assert optimal_resolution(sub, params) == sub.bounds[1]
+    cfg = make_cfg()
+    s = _closed_form(cfg, FAMILIES, *_coefficients(3, slope=1e-300))
+    assert np.all(s == cfg.s_max_px)
 
 
 def test_zero_earn_scale_drives_to_min():
-    sub = _subproblem(earn_scale=0.0)
-    for params in DEFAULT_PARAMS.values():
-        assert optimal_resolution(sub, params) == sub.bounds[0]
+    cfg = make_cfg()
+    s = _closed_form(cfg, FAMILIES, *_coefficients(3, earn_scale=0.0))
+    assert np.all(s == cfg.s_min_px)
 
 
-@pytest.mark.parametrize("family", list(EarnFamily))
+@pytest.mark.parametrize("family", FAMILIES)
 def test_closed_form_beats_grid(family, rng):
-    params = DEFAULT_PARAMS[family]
-    for _ in range(30):
-        sub = _subproblem(latency_coeff=10 ** rng.uniform(-9, -5.5),
-                          earn_scale=rng.uniform(0.3, 3.0),
-                          x_offset=rng.uniform(0.25, 0.5))
-        s_star = optimal_resolution(sub, params)
-        grid = np.linspace(sub.bounds[0], sub.bounds[1], 10_000)
-        vals = np.array([resolution_objective(sub, params, float(s)) for s in grid])
-        best = int(np.argmax(vals))
-        step_var = abs(vals[min(best + 1, len(vals) - 1)] - vals[best]) \
-            + abs(vals[best] - vals[max(best - 1, 0)])
-        assert resolution_objective(sub, params, s_star) \
-            >= vals[best] - step_var - 1e-9
-
-
-def test_linear_power_family_goes_to_an_endpoint():
-    params = EarnParams(EarnFamily.POW, 2.0, 1.0)
-    sub = _subproblem(latency_coeff=1e-9, earn_scale=1.0)
-    assert optimal_resolution(sub, params) == sub.bounds[1]
-    sub = _subproblem(latency_coeff=1e-3, earn_scale=1.0)
-    assert optimal_resolution(sub, params) == sub.bounds[0]
+    cfg = make_cfg()
+    families = [family] * 30
+    slope = 10 ** rng.uniform(-9, -5.5, 30)
+    earn_scale = rng.uniform(0.3, 3.0, 30)
+    x_offset = rng.uniform(0.25, 0.5, 30)
+    s_star = _closed_form(cfg, families, slope, earn_scale, x_offset)
+    grid = np.linspace(cfg.s_min_px, cfg.s_max_px, 10_000)
+    vals = resolution_objective(cfg, families, slope[:, None], earn_scale[:, None],
+                                x_offset[:, None], grid)
+    rows = np.arange(30)
+    best = np.argmax(vals, axis=1)
+    step_var = np.abs(vals[rows, np.minimum(best + 1, len(grid) - 1)] - vals[rows, best]) \
+        + np.abs(vals[rows, best] - vals[rows, np.maximum(best - 1, 0)])
+    at_star = resolution_objective(cfg, families, slope, earn_scale, x_offset, s_star)
+    assert np.all(at_star >= vals[rows, best] - step_var - 1e-9)
 
 
 def test_objective_concave_at_sampled_points(rng):
+    cfg = make_cfg()
     h = 1e5  # wide stencil: curvature per pixel sits below float resolution
-    for params in DEFAULT_PARAMS.values():
-        sub = _subproblem()
-        for s in rng.uniform(sub.bounds[0] + h, sub.bounds[1] - h, 100):
-            second = (resolution_objective(sub, params, s + h)
-                      - 2 * resolution_objective(sub, params, s)
-                      + resolution_objective(sub, params, s - h)) / h ** 2
-            assert second < 0
+    coeffs = [c[:, None] for c in _coefficients(3)]
+    s = rng.uniform(cfg.s_min_px + h, cfg.s_max_px - h, (1, 100))
+    second = (resolution_objective(cfg, FAMILIES, *coeffs, s + h)
+              - 2 * resolution_objective(cfg, FAMILIES, *coeffs, s)
+              + resolution_objective(cfg, FAMILIES, *coeffs, s - h)) / h ** 2
+    assert np.all(second < 0)
 
 
-def test_comparative_statics(rng):
-    params = DEFAULT_PARAMS[EarnFamily.EXP]
-    costs = np.geomspace(1e-8, 1e-5, 12)
-    sols = [optimal_resolution(_subproblem(latency_coeff=float(c)), params)
-            for c in costs]
-    assert all(b <= a + 1e-9 for a, b in zip(sols, sols[1:]))
-    scales = np.geomspace(0.1, 10.0, 12)
-    sols = [optimal_resolution(_subproblem(earn_scale=float(t)), params)
-            for t in scales]
-    assert all(b >= a - 1e-9 for a, b in zip(sols, sols[1:]))
-
-
-def test_per_user_solves_commute(rng):
-    cfg, users, servers = small_scenario(51, 4, 2, weight_omega=2.75)
-    assoc = Association.from_server_indices([0, 1, 0, 1], 2)
-    powers = np.full(4, 0.1)
-    loads = assoc.loads
-
-    def solve_order(order):
-        res = np.full(4, cfg.s_min_px)
-        for k in order:
-            n = int(assoc.server_indices[k])
-            sub = make_subproblem(cfg, users[k], k, int(loads[n]), servers[n])
-            res[k] = optimal_resolution(sub, DEFAULT_PARAMS[users[k].earn_family])
-        return total_objective(cfg, users, servers, powers, res, assoc)
-
-    values = {solve_order(list(p)) for p in itertools.permutations(range(4))}
-    assert max(values) - min(values) <= 1e-12 * max(1.0, abs(max(values)))
-
-
-def test_subproblem_validation():
-    with pytest.raises(ValueError):
-        _subproblem(latency_coeff=0.0)
-    with pytest.raises(ValueError):
-        _subproblem(bounds=(2e6, 1e6))
+def test_comparative_statics():
+    cfg = make_cfg()
+    families = [EarnFamily.EXP] * 12
+    slope, earn_scale, x_offset = _coefficients(12)
+    sols = _closed_form(cfg, families, np.geomspace(1e-8, 1e-5, 12), earn_scale, x_offset)
+    assert np.all(np.diff(sols) <= 1e-9)
+    sols = _closed_form(cfg, families, slope, np.geomspace(0.1, 10.0, 12), x_offset)
+    assert np.all(np.diff(sols) >= -1e-9)
