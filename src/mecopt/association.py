@@ -192,8 +192,7 @@ def _project_simplex_rows(v: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(v - theta[:, None], 0.0)
 
 
-@dataclass(frozen=True)
-class _AssignmentPolytope:
+def _project_assignment(v: np.ndarray) -> np.ndarray:
     """The relaxation's constraints besides the cone, as one exact projection.
 
     For a symmetric (N, K+1, K+1) stack X (h = K in each block) the set is:
@@ -204,30 +203,17 @@ class _AssignmentPolytope:
     on the borders, {d >= 0, sum d >= K} on the N K user diagonals, the
     orthant elsewhere and the fixed corners.
     """
-
-    num_users: int
-    num_servers: int
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        users = np.arange(self.num_users)
-        w = np.maximum(v, 0.0)
-        w[:, -1, -1] = 1.0
-        border = _project_simplex_rows(0.5 * (v[:, :-1, -1] + v[:, -1, :-1]).T, 1.0)
-        w[:, :-1, -1] = w[:, -1, :-1] = border.T
-        if w[:, users, users].sum() < self.num_users:
-            # the half-space is active: water-fill the diagonals up to sum K
-            diag = _project_simplex_rows(v[:, users, users].reshape(1, -1), float(self.num_users))
-            w[:, users, users] = diag.reshape(self.num_servers, self.num_users)
-        return w
-
-    def violations(self, x: np.ndarray) -> Tuple[float, float, float]:
-        """Row-sum or corner residual, most negative entry off the corners, half-space excess."""
-        users = np.arange(self.num_users)
-        border = 0.5 * (x[:, :-1, -1] + x[:, -1, :-1])
-        eq_v = float(max(np.abs(border.sum(axis=0) - 1.0).max(), np.abs(x[:, -1, -1] - 1.0).max()))
-        sign_v = max(0.0, -min(float(x[:, :-1].min()), float(x[:, -1, :-1].min())))
-        ineq_v = max(0.0, float(border.sum() - x[:, users, users].sum()))
-        return eq_v, sign_v, ineq_v
+    num_servers, num_users = v.shape[0], v.shape[1] - 1
+    users = np.arange(num_users)
+    w = np.maximum(v, 0.0)
+    w[:, -1, -1] = 1.0
+    border = _project_simplex_rows(0.5 * (v[:, :-1, -1] + v[:, -1, :-1]).T, 1.0)
+    w[:, :-1, -1] = w[:, -1, :-1] = border.T
+    if w[:, users, users].sum() < num_users:
+        # the half-space is active: water-fill the diagonals up to sum K
+        diag = _project_simplex_rows(v[:, users, users].reshape(1, -1), float(num_users))
+        w[:, users, users] = diag.reshape(num_servers, num_users)
+    return w
 
 
 def solve_association_sdr(inst: QcqpInstance, tol: float = 1e-6,
@@ -235,8 +221,8 @@ def solve_association_sdr(inst: QcqpInstance, tol: float = 1e-6,
                           initial: Optional[SdpSolution] = None) -> SdrResult:
     """Solve the relaxation over server blocks, warm-started from initial's
     (N, K+1, K+1) iterate, scaled dual and rho when it is given."""
-    polytope = _AssignmentPolytope(inst.num_users, inst.num_servers)
-    sol = solve_sdp(_block_cost(inst), polytope, tol=tol, max_iter=max_iter, initial=initial)
+    sol = solve_sdp(_block_cost(inst), _project_assignment, tol=tol, max_iter=max_iter,
+                    initial=initial)
     return SdrResult(lower_bound=sol.objective, solution=sol)
 
 

@@ -126,6 +126,9 @@ def generate_scenario(spec: ScenarioSpec,
         raise ValueError(f"unknown SystemConfig overrides: {sorted(unknown)}")
     probe_cfg = SystemConfig(num_users=spec.num_users,
                              num_servers=spec.num_servers, **overrides)
+    if spec.downlink_rate_bps[1] > probe_cfg.rate_norm_bps:
+        raise ValueError(f"downlink rate {spec.downlink_rate_bps[1]} exceeds the earnings "
+                         f"normalizer rate_norm_bps {probe_cfg.rate_norm_bps}")
 
     users: List[UserProfile] = []
     dropped = 0

@@ -95,6 +95,9 @@ class SystemConfig:
                 raise ValueError(f"{name} must be strictly positive")
         if not self.s_min_px < self.s_max_px:
             raise ValueError("s_min_px must be below s_max_px")
+        if self.s_max_px > self.res_norm_px:
+            raise ValueError(f"s_max_px {self.s_max_px} exceeds the earnings normalizer "
+                             f"res_norm_px {self.res_norm_px}")
 
     @property
     def noise_power_w(self) -> float:

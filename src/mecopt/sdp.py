@@ -8,13 +8,14 @@ the cone, and a scaled dual u accumulates their gap. X is one (d, d) matrix
 or a (B, d, d) stack of blocks that are each PSD, the form a chordal pattern
 decomposes into (Fukuda et al., SIAM J. Optim. 2001); the set couples them.
 
-The caller passes the set (``ConstraintSet``: a projection plus the
-equality, sign and half-space residuals the stopping test reads). The
-association relaxation passes its assignment polytope. An iteration costs
-one batched eigendecomposition, after which only the negative eigenpairs are
-subtracted, plus elementwise work. A solve warm-started from an earlier
-``SdpSolution`` restores its whole splitting state (iterate, scaled dual and
-step parameter), so a neighbouring problem does not rebuild the dual.
+The caller passes the set as its projection, a plain function; x is always
+that function's output, so the stopping test checks only the two splitting
+residuals and the cone. The association relaxation passes its assignment
+polytope. An iteration costs one batched eigendecomposition, after which
+only the negative eigenpairs are subtracted, plus elementwise work. A solve
+warm-started from an earlier ``SdpSolution`` restores its whole splitting
+state (iterate, scaled dual and step parameter), so a neighbouring problem
+does not rebuild the dual.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Protocol, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "AsymmetricMatrixError",
-    "ConstraintSet",
     "SdpSolution",
     "SdpStatus",
     "project_psd",
@@ -79,20 +79,6 @@ def project_psd(a: np.ndarray) -> np.ndarray:
     return _clamp_negative(_check_symmetric(a))
 
 
-class ConstraintSet(Protocol):
-    """The convex set solve_sdp splits against the cone, given by its exact projection.
-
-    violations(x) returns three residuals of x against the set: the largest
-    relative equality residual, the most negative entry among those the set
-    keeps nonnegative (as a positive number, 0 when none is negative) and the
-    excess over its half-space. A set without one of these reports 0 for it.
-    """
-
-    def project(self, v: np.ndarray) -> np.ndarray: ...
-
-    def violations(self, x: np.ndarray) -> Tuple[float, float, float]: ...
-
-
 class SdpStatus(Enum):
     CONVERGED = "converged"
     ITERATION_CAP = "iteration_cap"
@@ -100,12 +86,13 @@ class SdpStatus(Enum):
 
 @dataclass
 class SdpSolution:
-    """Solver output. x is the set's iterate. primal_residual aggregates its
-    normalized feasibility error (equalities, signs, half-spaces, cone)
-    with its distance from the cone's iterate; dual_residual tracks the cone
-    iterate's movement. rho and u are the step parameter and the scaled dual
-    the solver stopped with; passed back as solve_sdp's initial, the
-    solution resumes the splitting from x, u and rho."""
+    """Solver output. x is the set's iterate, the projection's output.
+    primal_residual is the larger of its distance from the cone's iterate,
+    relative to max(1, ||x||), and its most negative eigenvalue, relative
+    to ||x||; dual_residual tracks the cone iterate's movement. rho and u
+    are the step parameter and the scaled dual the solver stopped with;
+    passed back as solve_sdp's initial, the solution resumes the splitting
+    from x, u and rho."""
 
     x: np.ndarray
     objective: float
@@ -125,32 +112,32 @@ _RHO_FACTOR = 1.5
 _RHO_COLD = 0.1  # where the rule settles from 10x4 to 100x20
 
 
-def solve_sdp(cost: np.ndarray, constraints: ConstraintSet, tol: float = 1e-6,
-              max_iter: int = 20000, initial: Optional[SdpSolution] = None,
-              ) -> SdpSolution:
-    """Minimize Tr(cost X) over the PSD matrices in the set constraints.
+def solve_sdp(cost: np.ndarray, project: Callable[[np.ndarray], np.ndarray],
+              tol: float = 1e-6, max_iter: int = 20000,
+              initial: Optional[SdpSolution] = None) -> SdpSolution:
+    """Minimize Tr(cost X) over the PSD matrices in the set that project
+    maps onto: project(v) must return the set's nearest point to v.
 
     cost must be square and symmetric, or a stack of such blocks. Each
-    iteration sets x to the projection of y - u - cost/rho onto the set, y
-    to the projection of x + u onto the cone (one batched
-    eigendecomposition, then the negative eigenpairs are subtracted) and
-    adds x - y to u. A cold start has y = u = 0 and rho = 0.1, where the
-    rule below settles on the association relaxations; a warm start
-    from initial, an earlier solution whose x has cost's shape, restarts
-    from y = sym(initial.x), u = initial.u and rho = initial.rho. rho adapts
-    to balance the two residuals, at most once per 50 of this solve's
-    iterations during the first half of max_iter; u is rescaled with it.
+    iteration sets x to project(y - u - cost/rho), y to the projection of
+    x + u onto the cone (one batched eigendecomposition, then the negative
+    eigenpairs are subtracted) and adds x - y to u. A cold start has
+    y = u = 0 and rho = 0.1, where the rule below settles on the
+    association relaxations; a warm start from initial, an earlier solution
+    whose x has cost's shape, restarts from y = sym(initial.x),
+    u = initial.u and rho = initial.rho. rho adapts to balance the two
+    residuals, at most once per 50 of this solve's iterations during the
+    first half of max_iter; u is rescaled with it.
 
-    The returned x lies in the set up to its projection's roundoff.
-    Convergence demands, on x: relative equality residuals below tol, sign
-    residuals at most 0.1 * tol, half-space excess at most tol, smallest
-    eigenvalue above -0.1 * tol * ||x||, primal residual ||x - y|| and dual
-    residual rho * sqrt(2) * ||y - y_prev|| below tol, both relative to
-    max(1, ||x||). The two residuals are screened every iteration; the rest
-    of the test runs once both pass, and on every 25th iteration, whose
-    residuals residual_history records with those of the stopping check.
-    Hitting max_iter returns ITERATION_CAP with the residuals attached so
-    the caller can judge acceptability.
+    The returned x is project's output, so it lies in the set up to the
+    projection's roundoff, and the stopping test checks only what can fail:
+    primal residual ||x - y|| and dual residual rho * sqrt(2) * ||y - y_prev||
+    below tol, both relative to max(1, ||x||), and x's smallest eigenvalue
+    above -0.1 * tol * ||x||. The two residuals are screened every
+    iteration; the eigenvalue is computed once both pass, and at max_iter.
+    residual_history records the residuals of every 25th iteration and of
+    the stopping check. Hitting max_iter returns ITERATION_CAP with the
+    residuals attached so the caller can judge acceptability.
     """
     cost = _check_symmetric(cost, "cost")
     c_scale = float(np.linalg.norm(cost))
@@ -168,15 +155,15 @@ def solve_sdp(cost: np.ndarray, constraints: ConstraintSet, tol: float = 1e-6,
 
     history: List[Tuple[int, float, float]] = []
     status = SdpStatus.ITERATION_CAP
-    prim_n = dual_n = math.inf
-    feas = math.inf
+    prim_n = dual_n = eig_v = 0.0
+    den_x = 1.0
     it = 0
 
     for it in range(1, max_iter + 1):
         y_prev = y
         v = y - u
         v -= cost_step
-        x = constraints.project(v)
+        x = project(v)
         y = _clamp_negative(x + u)
         u += x
         u -= y
@@ -187,15 +174,11 @@ def solve_sdp(cost: np.ndarray, constraints: ConstraintSet, tol: float = 1e-6,
         dual = rho * math.sqrt(2.0) * float(np.linalg.norm(y - y_prev))
         prim_n, dual_n = prim / den, dual / den
         screened = prim_n < tol and dual_n < tol
-        checkpoint = it % _CHECK_EVERY == 0 or it == max_iter
-        if not (screened or checkpoint):
-            continue
-        eq_v, sign_v, ineq_v = constraints.violations(x)
-        eig_v = max(0.0, -float(np.linalg.eigvalsh(x).min()))
-        feas = max(eq_v, sign_v, ineq_v, eig_v / den_x)
-        converged = (screened and eq_v < tol and sign_v <= 0.1 * tol
-                     and ineq_v <= tol and eig_v <= 0.1 * tol * den_x)
-        if checkpoint or converged:
+        converged = False
+        if screened or it == max_iter:
+            eig_v = max(0.0, -float(np.linalg.eigvalsh(x).min()))
+            converged = screened and eig_v <= 0.1 * tol * den_x
+        if converged or it % _CHECK_EVERY == 0 or it == max_iter:
             history.append((it, prim_n, dual_n))
         if converged:
             status = SdpStatus.CONVERGED
@@ -209,12 +192,11 @@ def solve_sdp(cost: np.ndarray, constraints: ConstraintSet, tol: float = 1e-6,
                 u *= _RHO_FACTOR
             cost_step = cost_n / rho
 
-    primal_residual = max(prim_n if math.isfinite(prim_n) else 0.0, feas if math.isfinite(feas) else 0.0)
     return SdpSolution(
         x=x,
         objective=float((cost * x).sum()),
-        primal_residual=primal_residual,
-        dual_residual=dual_n if math.isfinite(dual_n) else 0.0,
+        primal_residual=max(prim_n, eig_v / den_x),
+        dual_residual=dual_n,
         iterations=it,
         status=status,
         rho=rho,

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from mecopt.association import InstanceTooLargeError, _batch_objectives, _block_cost, build_qcqp
+from mecopt.association import (InstanceTooLargeError, _batch_objectives, _block_cost,
+                                _project_assignment, build_qcqp)
 from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, _h
 from mecopt.harness import ScenarioSpec, generate_scenario
 from mecopt.model import (STEREO_BITS_PER_PIXEL, Association, SystemConfig, UserProfile,
@@ -210,15 +212,22 @@ def jacobi_eig(a, tol=1e-12, max_sweeps=100):
 def consensus_sdp(cost, sets, tol=1e-6, max_iter=20000):
     """Minimize Tr(cost X) over the PSD matrices in the intersection of sets,
     by consensus splitting (O'Donoghue et al., JOTA 2016): a reference
-    algorithm for solve_sdp that takes several sets.
+    algorithm for solve_sdp that takes several sets. Each set has a
+    project(v) and a violations(x) giving x's largest relative equality
+    residual, its most negative entry that the set keeps nonnegative (as a
+    positive number) and its half-space excess; a set without one of these
+    reports 0 for it. The averaged iterate lies in none of the sets, so
+    unlike solve_sdp the stopping test reads these.
 
     Each iteration projects one copy onto each set and one onto the cone.
     The averaged iterate z then carries the cost, and the scaled duals move
     by each copy's distance from it. rho adapts as in solve_sdp. Converged
-    means, on z: every set's residuals and the cone's as solve_sdp demands
-    them, the largest copy-to-z distance and rho * sqrt(copies) times z's
-    movement below tol, relative to max(1, ||z||). Returns z. It starts at
-    solve_sdp's cold rho and checks every 25 iterations.
+    means, on z: relative equality residuals below tol, sign residuals at
+    most 0.1 * tol, half-space excess at most tol, the smallest eigenvalue
+    as solve_sdp demands it, the largest copy-to-z distance and
+    rho * sqrt(copies) times z's movement below tol, relative to
+    max(1, ||z||). Returns z. It starts at solve_sdp's cold rho and checks
+    every 25 iterations.
     """
     cost = _check_symmetric(cost, "cost")
     c_scale = float(np.linalg.norm(cost))
@@ -275,7 +284,8 @@ def consensus_sdp(cost, sets, tol=1e-6, max_iter=20000):
 
 class AffineStep:
     """Exact projection onto the equalities Tr(A_i X) = b_i and the half-space
-    Tr(Y X) <= 0, as one solve_sdp constraint set.
+    Tr(Y X) <= 0, as one consensus_sdp set; its project is a solve_sdp
+    projection.
 
     All A_i and Y vanish off their support (the flat indices where any of
     them is nonzero), so the projection v - A'(AA')^+(Av - b) changes only
@@ -321,6 +331,22 @@ class AffineStep:
         return eq_v, 0.0, ineq_v
 
 
+def polytope_violations(x):
+    """Residuals of an (N, K+1, K+1) stack against the assignment polytope,
+    as consensus_sdp reads them: the row-sum or corner residual, the most
+    negative entry off the corners and the half-space excess."""
+    users = np.arange(x.shape[1] - 1)
+    border = 0.5 * (x[:, :-1, -1] + x[:, -1, :-1])
+    eq_v = float(max(np.abs(border.sum(axis=0) - 1.0).max(), np.abs(x[:, -1, -1] - 1.0).max()))
+    sign_v = max(0.0, -min(float(x[:, :-1].min()), float(x[:, -1, :-1].min())))
+    ineq_v = max(0.0, float(border.sum() - x[:, users, users].sum()))
+    return eq_v, sign_v, ineq_v
+
+
+# the polytope solve_sdp projects onto, as one consensus_sdp set
+POLYTOPE = SimpleNamespace(project=_project_assignment, violations=polytope_violations)
+
+
 class MaskStep:
     """Exact projection onto X >= 0 on a symmetric boolean mask: clamp the
     masked entries."""
@@ -351,7 +377,7 @@ def dense_sdr_cost(inst):
 
 def generic_relaxation(inst):
     """The association relaxation in generic trace form, as the cost and the
-    constraint sets solve_sdp takes: the dense row-sum matrices and the
+    sets consensus_sdp takes: the dense row-sum matrices and the
     corner as equalities with the binarity half-space, then the sign mask
     (every entry but the corner)."""
     dim = inst.a_dim + 1

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from mecopt import association
-from mecopt.association import (InstanceTooLargeError, QcqpInstance, _AssignmentPolytope,
+from mecopt.association import (InstanceTooLargeError, QcqpInstance, _project_assignment,
                                 association_objective, build_qcqp, exact_association,
                                 gaussian_randomize, solve_association_sdr)
 from mecopt.model import Association, ServerProfile, evaluate_allocation
 from mecopt.optimizer import BaselineKind, SolveOptions, run_baseline, solve_joint
 from mecopt.sdp import SdpStatus
 from helpers import (AffineStep, MaskStep, brute_force_association, consensus_sdp,
-                     dense_sdr_cost, generic_relaxation, make_cfg, make_user, random_one_hot,
-                     small_scenario)
+                     dense_sdr_cost, generic_relaxation, make_cfg, make_user,
+                     polytope_violations, random_one_hot, small_scenario)
 
 
 def _binary_vector(assoc: Association) -> np.ndarray:
@@ -213,7 +213,7 @@ def test_polytope_projection_matches_dykstra(rng):
     active = inactive = single_server = 0
     for k, n, v in _polytope_cases(rng, 60):
         users = np.arange(k)
-        got = _AssignmentPolytope(k, n).project(v)
+        got = _project_assignment(v)
         want = _dykstra_projection(v)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(v).max())
         if np.maximum(v[:, users, users], 0.0).sum() < k:
@@ -231,7 +231,7 @@ def test_polytope_violations_match_affine_step(rng):
         affine, mask = _embedded_steps(k, n)
         eq_v, _, ineq_v = affine.violations(_embed(v))
         _, sign_v, _ = mask.violations(_embed(v))
-        got = _AssignmentPolytope(k, n).violations(v)
+        got = polytope_violations(v)
         assert got == pytest.approx((eq_v, sign_v, ineq_v), rel=1e-12,
                                     abs=1e-12 * np.abs(v).max())
         assert got[1] == sign_v
@@ -241,10 +241,9 @@ def test_polytope_violations_match_affine_step(rng):
 
 def test_polytope_projection_is_idempotent(rng):
     for k, n, v in _polytope_cases(rng, 40):
-        polytope = _AssignmentPolytope(k, n)
-        once = polytope.project(v)
-        assert np.abs(polytope.project(once) - once).max() <= 1e-14 * max(1.0, np.abs(v).max())
-        eq_v, sign_v, ineq_v = polytope.violations(once)
+        once = _project_assignment(v)
+        assert np.abs(_project_assignment(once) - once).max() <= 1e-14 * max(1.0, np.abs(v).max())
+        eq_v, sign_v, ineq_v = polytope_violations(once)
         assert eq_v <= 1e-14 and sign_v == 0.0 and ineq_v <= 1e-14 * k
 
 

@@ -72,6 +72,22 @@ def test_scenario_overrides_and_validation():
         ScenarioSpec(min_distance_km=0.9, cell_radius_km=0.5)
 
 
+def test_scenario_rejects_settings_above_the_earnings_normalizers():
+    # Either would make every solve fail on an earnings input outside
+    # [0, 1], so they are refused before run_sweep starts its first row.
+    spec = ScenarioSpec(seed=1, num_users=3, num_servers=2)
+    with pytest.raises(ValueError, match=r"s_max_px 40000000\.0 .*res_norm_px 33177600"):
+        generate_scenario(dataclasses.replace(spec, config_overrides={"s_max_px": 4e7}))
+    fast = dataclasses.replace(spec, downlink_rate_bps=(10e6, 30e6))
+    with pytest.raises(ValueError, match=r"30000000\.0 .*rate_norm_bps 20000000\.0"):
+        generate_scenario(fast)
+    with pytest.raises(ValueError, match="rate_norm_bps"):
+        run_sweep(SweepKind.OMEGA, fast, ["random"], [1.0], num_seeds=1)
+    cfg, users, _ = generate_scenario(dataclasses.replace(
+        fast, config_overrides={"rate_norm_bps": 30e6}))
+    assert max(u.downlink_rate_bps for u in users) <= cfg.rate_norm_bps
+
+
 def test_sweep_covers_every_combination_once():
     spec = ScenarioSpec(seed=3, num_users=4, num_servers=2)
     rows = run_sweep(SweepKind.OMEGA, spec, ["proposed", "random"],

@@ -354,5 +354,10 @@ def test_config_validation():
         SystemConfig(num_users=0, num_servers=1)
     with pytest.raises(ValueError):
         SystemConfig(num_users=1, num_servers=1, s_min_px=2e6, s_max_px=1e6)
+    # the earnings input normalizes resolutions by res_norm_px, so a larger
+    # s_max_px would fail every solve that reaches it
+    with pytest.raises(ValueError, match=r"s_max_px 40000000\.0 .*res_norm_px 33177600"):
+        SystemConfig(num_users=1, num_servers=1, s_max_px=4e7)
+    SystemConfig(num_users=1, num_servers=1, s_max_px=4e7, res_norm_px=4e7)
     with pytest.raises(ValueError):
         make_user(channel_gain=-1.0)

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from mecopt.association import (_AssignmentPolytope, _block_cost, build_qcqp,
+from mecopt.association import (_block_cost, _project_assignment, build_qcqp,
                                 solve_association_sdr)
 from mecopt.sdp import (AsymmetricMatrixError, SdpStatus, _clamp_negative, project_psd,
                         solve_sdp)
-from helpers import (AffineStep, consensus_sdp, jacobi_eig, make_cfg, make_user,
-                     small_scenario)
+from helpers import (POLYTOPE, AffineStep, consensus_sdp, jacobi_eig, make_cfg, make_user,
+                     polytope_violations, small_scenario)
 
 
 def _random_symmetric(rng, n):
@@ -170,7 +170,7 @@ def test_project_psd_is_closest_among_sampled_psd_points(rng):
 
 
 def test_solve_sdp_eigenvalue_problem():
-    sol = solve_sdp(np.diag([1.0, 2.0]), AffineStep(2, [(np.eye(2), 1.0)]), tol=1e-8)
+    sol = solve_sdp(np.diag([1.0, 2.0]), AffineStep(2, [(np.eye(2), 1.0)]).project, tol=1e-8)
     assert sol.status is SdpStatus.CONVERGED
     assert sol.objective == pytest.approx(1.0, abs=1e-6)
     assert sol.x == pytest.approx(np.diag([1.0, 0.0]), abs=1e-6)
@@ -212,12 +212,25 @@ def test_solution_invariants_at_convergence():
 
 
 def test_iteration_cap_reports_residuals():
-    sol = solve_sdp(np.diag([1.0, 2.0]), AffineStep(2, [(np.eye(2), 1.0)]),
+    sol = solve_sdp(np.diag([1.0, 2.0]), AffineStep(2, [(np.eye(2), 1.0)]).project,
                     tol=1e-14, max_iter=10)
     assert sol.status is SdpStatus.ITERATION_CAP
     assert sol.iterations == 10
     assert math.isfinite(sol.primal_residual)
     assert math.isfinite(sol.dual_residual)
+
+
+def test_negative_eigenvalue_holds_back_a_screened_stop():
+    # The set is the one point diag(1, -eps), at distance eps from the cone.
+    # From the second iteration both residuals sit at eps, below tol, but the
+    # smallest eigenvalue -eps misses the -0.1 * tol bound, so the solve runs
+    # to its cap.
+    eps = 1e-5
+    point = np.diag([1.0, -eps])
+    sol = solve_sdp(np.eye(2), lambda v: point.copy(), tol=5 * eps, max_iter=50)
+    assert sol.status is SdpStatus.ITERATION_CAP
+    assert sol.dual_residual == 0.0
+    assert sol.primal_residual == pytest.approx(eps, rel=1e-9)
 
 
 def test_residuals_shrink_between_checkpoints():
@@ -233,7 +246,7 @@ def test_residuals_shrink_between_checkpoints():
 
 
 def test_problem_validation():
-    trace_one = AffineStep(2, [(np.eye(2), 1.0)])
+    trace_one = AffineStep(2, [(np.eye(2), 1.0)]).project
     with pytest.raises(AsymmetricMatrixError):
         solve_sdp(np.array([[0.0, 1.0], [0.0, 0.0]]), trace_one)
     with pytest.raises(AsymmetricMatrixError):
@@ -245,20 +258,20 @@ def test_problem_validation():
 
 
 def _cold_relaxation(seed, k, n, rng=None):
-    """Cost and polytope of a k x n scenario's relaxation: the optlat one at
-    s_min, or at resolutions drawn from rng."""
+    """Cost of a k x n scenario's relaxation: the optlat one at s_min, or at
+    resolutions drawn from rng."""
     cfg, users, servers = small_scenario(seed, k, n)
     res_px = (np.full(k, cfg.s_min_px) if rng is None
               else rng.uniform(cfg.s_min_px, cfg.s_max_px, k))
     inst = build_qcqp(cfg, users, servers, res_px)
-    return _block_cost(inst), _AssignmentPolytope(k, n)
+    return _block_cost(inst)
 
 
 def test_splitting_matches_consensus_on_block_relaxation():
     for seed, (k, n) in ((5006, (20, 5)), (3000, (30, 6))):
-        cost, polytope = _cold_relaxation(seed, k, n, np.random.default_rng(seed))
-        got = solve_sdp(cost, polytope, tol=1e-7)
-        want = consensus_sdp(cost, [polytope], tol=1e-7)
+        cost = _cold_relaxation(seed, k, n, np.random.default_rng(seed))
+        got = solve_sdp(cost, _project_assignment, tol=1e-7)
+        want = consensus_sdp(cost, [POLYTOPE], tol=1e-7)
         assert got.status is want.status is SdpStatus.CONVERGED
         assert got.objective == pytest.approx(want.objective, rel=1e-5)
 
@@ -268,9 +281,9 @@ def test_splitting_takes_fewer_iterations_than_consensus():
     # 2150 over these four instances.
     got = want = 0
     for seed in range(3000, 3004):
-        cost, polytope = _cold_relaxation(seed, 30, 6)
-        got += solve_sdp(cost, polytope, tol=3e-4, max_iter=2000).iterations
-        want += consensus_sdp(cost, [polytope], tol=3e-4, max_iter=2000).iterations
+        cost = _cold_relaxation(seed, 30, 6)
+        got += solve_sdp(cost, _project_assignment, tol=3e-4, max_iter=2000).iterations
+        want += consensus_sdp(cost, [POLYTOPE], tol=3e-4, max_iter=2000).iterations
     assert got < want
 
 
@@ -279,20 +292,32 @@ def test_cold_relaxations_converge_within_200_iterations():
     # every iteration. Starting at rho = 1 and testing every 25 iterations,
     # each took 350.
     for seed, (k, n) in ((5000, (20, 5)), (3000, (30, 6))):
-        cost, polytope = _cold_relaxation(seed, k, n)
-        sol = solve_sdp(cost, polytope, tol=3e-4, max_iter=2000)
+        cost = _cold_relaxation(seed, k, n)
+        sol = solve_sdp(cost, _project_assignment, tol=3e-4, max_iter=2000)
         assert sol.status is SdpStatus.CONVERGED
         assert sol.iterations < 200, (seed, sol.iterations)
 
 
-def test_last_history_entry_is_the_stopping_check():
+def test_last_history_entry_is_the_stopping_check(monkeypatch):
     # The history holds every 25th iteration's residuals plus the check that
-    # stopped the solve, converged at any iteration or capped.
-    cost, polytope = _cold_relaxation(7000, 10, 4)
+    # stopped the solve, converged at any iteration or capped. The smallest
+    # eigenvalue is computed only where the two residuals both pass or at the
+    # cap: once in each of these solves.
+    eigvalsh_calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted_eigvalsh(a):
+        eigvalsh_calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    cost = _cold_relaxation(7000, 10, 4)
     for tol, max_iter, status in ((3e-4, 2000, SdpStatus.CONVERGED),
                                   (1e-14, 60, SdpStatus.ITERATION_CAP)):
-        sol = solve_sdp(cost, polytope, tol=tol, max_iter=max_iter)
+        eigvalsh_calls.clear()
+        sol = solve_sdp(cost, _project_assignment, tol=tol, max_iter=max_iter)
         assert sol.status is status
+        assert len(eigvalsh_calls) == 1
         assert sol.iterations % 25  # measured: converged at 95, capped at 60
         *earlier, (last_it, last_prim, last_dual) = sol.residual_history
         assert last_it == sol.iterations
@@ -306,10 +331,10 @@ def test_restart_from_own_solution_converges_at_first_check():
     # stopping test within two iterations; from x alone with u = 0 and rho = 1
     # it took 150-200. Bounds moved by at most 2.5e-4.
     for seed, (k, n) in ((7000, (10, 4)), (5000, (20, 5)), (3000, (30, 6))):
-        cost, polytope = _cold_relaxation(seed, k, n)
-        cold = solve_sdp(cost, polytope, tol=3e-4, max_iter=2000)
+        cost = _cold_relaxation(seed, k, n)
+        cold = solve_sdp(cost, _project_assignment, tol=3e-4, max_iter=2000)
         cold_u = cold.u.copy()
-        warm = solve_sdp(cost, polytope, tol=3e-4, max_iter=2000, initial=cold)
+        warm = solve_sdp(cost, _project_assignment, tol=3e-4, max_iter=2000, initial=cold)
         assert np.array_equal(cold.u, cold_u)  # a cached solution stays as it was
         assert cold.status is warm.status is SdpStatus.CONVERGED
         assert warm.iterations <= 2
@@ -318,7 +343,7 @@ def test_restart_from_own_solution_converges_at_first_check():
 
 def test_returned_iterate_lies_in_the_polytope():
     for seed, (k, n), tol in ((82, (20, 5), 3e-4), (83, (6, 3), 1e-8)):
-        cost, polytope = _cold_relaxation(seed, k, n)
+        cost = _cold_relaxation(seed, k, n)
         for max_iter in (10, 2000):
-            x = solve_sdp(cost, polytope, tol=tol, max_iter=max_iter).x
-            assert max(polytope.violations(x)) <= 1e-12
+            x = solve_sdp(cost, _project_assignment, tol=tol, max_iter=max_iter).x
+            assert max(polytope_violations(x)) <= 1e-12
