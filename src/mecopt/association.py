@@ -16,13 +16,13 @@ then h; Fukuda et al., SIAM J. Optim. 2001), and the rest is a polytope with
 a closed-form projection (per-user simplices across the N borders, fixed
 corners, a one-threshold water-fill of the diagonals), which solve_sdp
 splits against the cone. Rounding samples B, the blocks' PSD completion,
-block by block; the dense B is built only when read.
+one server block at a time; the dense B is built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -236,15 +236,24 @@ class RoundingReport:
 
 
 def _lifted_draws(border: np.ndarray, schur: np.ndarray, num_samples: int,
-                  rng_seed) -> Tuple[np.ndarray, np.ndarray]:
-    """h = |N(0, 1)| (samples,) and x (N, samples, K), x_n = b_n h + L_n g_n with
-    L_n L_n' = S_n and g standard normal: [x; h] has the completion's second moment."""
+                  rng_seed) -> Tuple[np.ndarray, Iterator[np.ndarray]]:
+    """h = |N(0, 1)| (samples,) and an iterator over the servers' draws
+    x_n = b_n h + L_n g_n (samples, K), with L_n L_n' = S_n and g standard
+    normal: [x; h] has the completion's second moment. Server n's normals are
+    drawn when x_n is requested, in the order of one (N, samples, K) draw, so
+    only a few (samples, K) arrays are live at a time."""
     w, v = np.linalg.eigh(schur)
     factor_t = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]).swapaxes(-1, -2)
     rng = np.random.default_rng(rng_seed)
     h = np.abs(rng.standard_normal(num_samples))
-    g = rng.standard_normal((schur.shape[0], num_samples, schur.shape[1]))
-    return h, h[:, None] * border[:, None, :] + g @ factor_t
+
+    def per_server() -> Iterator[np.ndarray]:
+        for b_n, f_n in zip(border, factor_t):
+            x_n = rng.standard_normal((num_samples, b_n.size)) @ f_n
+            x_n += h[:, None] * b_n
+            yield x_n
+
+    return h, per_server()
 
 
 def gaussian_randomize(inst: QcqpInstance, x: np.ndarray,
@@ -252,8 +261,9 @@ def gaussian_randomize(inst: QcqpInstance, x: np.ndarray,
     """Round a relaxation's (N, K+1, K+1) block stack to a feasible assignment.
 
     Draws num_samples vectors from the Gaussian whose second moment is the
-    stack's PSD completion (SdrResult.b_star) block by block, and gives each
-    user the server of its largest entry (ties to the lowest index). The
+    stack's PSD completion (SdrResult.b_star) one server at a time, folding
+    each server's draws into a running maximum, and gives each user the
+    server of its largest entry (ties to the lowest index). The
     candidate read off the completion's diagonal, b_kn^2 + S_n[k, k], is
     always included, so num_samples = 0 still yields a report. Candidates are
     ranked by their true scaled compute latency; the bound is Tr(C X).
@@ -267,7 +277,16 @@ def gaussian_randomize(inst: QcqpInstance, x: np.ndarray,
     border, schur = _schur_parts(x)
     candidates = [np.argmax(border * border + np.diagonal(schur, axis1=1, axis2=2), axis=0)]
     if num_samples:
-        candidates.append(np.argmax(_lifted_draws(border, schur, num_samples, rng_seed)[1], axis=0))
+        draws = _lifted_draws(border, schur, num_samples, rng_seed)[1]
+        top = next(draws)
+        pick = np.zeros(top.shape, dtype=np.intp)
+        for n, x_n in enumerate(draws, 1):
+            # x_n > top is strict, so ties keep the lowest server, as argmax
+            # does; n exceeds every earlier pick, so the maximum writes n
+            # exactly where x_n is better, without a (slower) masked write
+            np.maximum(pick, n * (x_n > top), out=pick)
+            np.maximum(top, x_n, out=top)
+        candidates.append(pick)
     all_idx = np.vstack(candidates)
 
     objs = _batch_objectives(inst, all_idx)

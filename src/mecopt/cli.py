@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 from typing import Dict, Optional, Sequence
@@ -126,7 +127,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.large:
         spec = dataclasses.replace(spec, num_users=100, num_servers=20)
         print(f"warning: full-scale sweep of {args.seeds * len(grid) * len(methods)} solves; "
-              "one 100x20 `mecopt run` took 9 s and 100 MB peak RSS on 2 vCPUs", file=sys.stderr)
+              "one 100x20 `mecopt run` took 8-10 s and 62 MB peak RSS on 2 vCPUs", file=sys.stderr)
     rows = run_sweep(kind, spec, methods, grid, num_seeds=args.seeds,
                      rand_samples=args.samples, sdp_tol=args.sdp_tol)
     emit_results(rows, args.out, include_timings=args.timings)
@@ -220,7 +221,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          help="write measured wall times (breaks byte determinism)")
     p_sweep.add_argument("--large", action="store_true",
                          help="full-scale counts (100 users, 20 servers); one solve "
-                         "took 9 s on 2 vCPUs")
+                         "took 8-10 s and 62 MB peak RSS on 2 vCPUs")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle-compare", help="relaxation vs the exact association DP")
@@ -238,6 +239,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_fit.set_defaults(func=_cmd_fit_earnings)
 
     args = parser.parse_args(argv)
+    solving = {"run": p_run, "sweep": p_sweep, "oracle-compare": p_oracle}
+    if args.command in solving and args.samples < 0:
+        solving[args.command].error("--samples must be nonnegative")
+    if args.command == "sweep" and args.seeds < 1:
+        p_sweep.error("--seeds must be at least 1")
+    if args.command == "sweep" and not (math.isfinite(args.sdp_tol) and args.sdp_tol > 0):
+        p_sweep.error("--sdp-tol must be finite and positive")
     if args.command == "oracle-compare" and min(args.max_users, args.max_servers) < 2:
         p_oracle.error("--max-users and --max-servers must be at least 2")
     return args.func(args)

@@ -137,8 +137,13 @@ def solve_sdp(cost: np.ndarray, project: Callable[[np.ndarray], np.ndarray],
     iteration; the eigenvalue is computed once both pass, and at max_iter.
     residual_history records the residuals of every 25th iteration and of
     the stopping check. Hitting max_iter returns ITERATION_CAP with the
-    residuals attached so the caller can judge acceptability.
+    residuals attached so the caller can judge acceptability. A tol that is
+    not finite and positive, or a max_iter below 1, raises ValueError.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     cost = _check_symmetric(cost, "cost")
     c_scale = float(np.linalg.norm(cost))
     cost_n = cost / c_scale if c_scale > 0 else cost

@@ -8,8 +8,8 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from mecopt.association import (InstanceTooLargeError, _batch_objectives, _block_cost,
-                                _project_assignment, build_qcqp)
+from mecopt.association import (InstanceTooLargeError, RoundingReport, _batch_objectives,
+                                _block_cost, _project_assignment, _schur_parts, build_qcqp)
 from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, _h
 from mecopt.harness import ScenarioSpec, generate_scenario
 from mecopt.model import (STEREO_BITS_PER_PIXEL, Association, SystemConfig, UserProfile,
@@ -163,6 +163,33 @@ def spearman(xs, ys) -> float:
 def random_one_hot(rng, num_users, num_servers) -> Association:
     return Association.from_server_indices(
         rng.integers(0, num_servers, size=num_users), num_servers)
+
+
+def batched_gaussian_randomize(inst, x, num_samples, rng_seed) -> RoundingReport:
+    """gaussian_randomize with every server's draws made in one
+    (N, samples, K) array and argmax taken across the servers at once; the
+    streamed rounding must match it bit for bit."""
+    x = _check_symmetric(x)
+    border, schur = _schur_parts(x)
+    candidates = [np.argmax(border * border + np.diagonal(schur, axis1=1, axis2=2), axis=0)]
+    if num_samples:
+        w, v = np.linalg.eigh(schur)
+        factor_t = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]).swapaxes(-1, -2)
+        rng = np.random.default_rng(rng_seed)
+        h = np.abs(rng.standard_normal(num_samples))
+        g = rng.standard_normal((schur.shape[0], num_samples, schur.shape[1]))
+        candidates.append(np.argmax(h[:, None] * border[:, None, :] + g @ factor_t, axis=0))
+    all_idx = np.vstack(candidates)
+    objs = _batch_objectives(inst, all_idx)
+    best = int(np.argmin(objs))
+    bound = float((_block_cost(inst) * x).sum())
+    return RoundingReport(
+        num_samples=num_samples,
+        best_objective=float(objs[best]),
+        best_assoc=Association.from_server_indices(all_idx[best], inst.num_servers),
+        sdr_lower_bound=bound,
+        gap=(float(objs[best]) - bound) / max(abs(bound), 1e-300),
+    )
 
 
 def jacobi_eig(a, tol=1e-12, max_sweeps=100):

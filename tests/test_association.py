@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from mecopt.association import (InstanceTooLargeError, QcqpInstance, _project_as
 from mecopt.model import Association, ServerProfile, evaluate_allocation
 from mecopt.optimizer import BaselineKind, SolveOptions, run_baseline, solve_joint
 from mecopt.sdp import SdpStatus
-from helpers import (AffineStep, MaskStep, brute_force_association, consensus_sdp,
-                     dense_sdr_cost, generic_relaxation, make_cfg, make_user,
+from helpers import (AffineStep, MaskStep, batched_gaussian_randomize, brute_force_association,
+                     consensus_sdp, dense_sdr_cost, generic_relaxation, make_cfg, make_user,
                      polytope_violations, random_one_hot, small_scenario)
 
 
@@ -352,13 +353,54 @@ def test_lifted_draws_have_the_completion_as_second_moment():
     inst = build_qcqp(cfg, users, servers, np.full(len(users), cfg.s_min_px))
     sdr = solve_association_sdr(inst)
     samples = 200_000
-    h, x = association._lifted_draws(*association._schur_parts(sdr.solution.x), samples, 5)
-    assert h.shape == (samples,) and h.min() >= 0.0
+    h, draws = association._lifted_draws(*association._schur_parts(sdr.solution.x), samples, 5)
+    x = np.stack(list(draws))
+    assert h.shape == (samples,) and h.min() >= 0.0 and x.shape == (3, samples, 6)
     lifted = np.column_stack([x.transpose(1, 2, 0).reshape(samples, -1), h])
     moment = lifted.T @ lifted / samples
     b = sdr.b_star
     sigma = np.sqrt((np.outer(np.diag(b), np.diag(b)) + b * b) / samples)
     assert np.all(np.abs(moment - b) <= 5.0 * sigma)
+
+
+def test_streamed_rounding_equals_the_batched_draw(rng):
+    # Relaxations capped early or run longer, plus stacks whose blocks are all
+    # b b' with b uniform, where every server's draw ties exactly.
+    for i in range(100):
+        k, n = int(rng.integers(1, 31)), int(rng.integers(1, 8))
+        if i < 2:
+            k, n = (1, 1) if i == 0 else (30, 7)
+        cfg, users, servers = small_scenario(200 + i, k, n)
+        inst = build_qcqp(cfg, users, servers, rng.uniform(cfg.s_min_px, cfg.s_max_px, k))
+        if i % 4 == 3:
+            b = np.append(np.full(k, 1.0 / n), 1.0)
+            x = np.broadcast_to(np.outer(b, b), (n, k + 1, k + 1))
+        else:
+            x = solve_association_sdr(inst, tol=3e-4, max_iter=(10, 300)[i % 2]).solution.x
+        for samples in (0, 1, 7, 1000):
+            for seed in (i, 1000 + i):
+                got = gaussian_randomize(inst, x, samples, rng_seed=seed)
+                ref = batched_gaussian_randomize(inst, x, samples, rng_seed=seed)
+                assert np.array_equal(got.best_assoc.assign, ref.best_assoc.assign)
+                assert got.best_objective == ref.best_objective
+                assert got.gap == ref.gap and got.sdr_lower_bound == ref.sdr_lower_bound
+
+
+def test_rounding_memory_does_not_grow_with_servers():
+    # Holding every server's draws at once costs at least one (N, samples, K)
+    # float64 array; the streamed pass keeps a few (samples, K) ones.
+    k, n, samples = 10, 16, 2000
+    cfg, users, servers = small_scenario(80, k, n)
+    inst = build_qcqp(cfg, users, servers, np.full(k, cfg.s_min_px))
+    x = solve_association_sdr(inst, max_iter=10).solution.x
+    gaussian_randomize(inst, x, samples, rng_seed=1)
+    tracemalloc.start()
+    try:
+        gaussian_randomize(inst, x, samples, rng_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * samples * k * 8
 
 
 def test_diagonal_candidate_is_the_completion_diagonal_argmax(rng):

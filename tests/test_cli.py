@@ -82,6 +82,28 @@ def test_oracle_compare_rejects_fewer_than_two(flag, capsys):
     assert flag in capsys.readouterr().err
 
 
+_SMALL_SWEEP = ["sweep", "--kind", "omega", "--methods", "random", "--grid", "1.0",
+                "--users", "2", "--servers", "2"]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["run", "--samples", "-1"], "--samples"),
+    (["oracle-compare", "--samples", "-1"], "--samples"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--samples", "-3"], "--samples"),
+    (_SMALL_SWEEP + ["--seeds", "0"], "--seeds"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--sdp-tol", "-1"], "--sdp-tol"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--sdp-tol", "0"], "--sdp-tol"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--sdp-tol", "nan"], "--sdp-tol"),
+])
+def test_bad_counts_are_rejected_at_parse_time(args, flag, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(args + (["--out", str(out)] if args[0] == "sweep" else []))
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_earnings_roundtrip(tmp_path, capsys):
     params = DEFAULT_PARAMS[EarnFamily.EXP]
     path = tmp_path / "samples.txt"

@@ -251,6 +251,12 @@ def test_problem_validation():
         solve_sdp(np.array([[0.0, 1.0], [0.0, 0.0]]), trace_one)
     with pytest.raises(AsymmetricMatrixError):
         solve_sdp(np.ones((2, 3)), trace_one)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve_sdp(np.eye(2), trace_one, tol=bad)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            solve_sdp(np.eye(2), trace_one, max_iter=bad)
     solved = solve_sdp(np.eye(2), trace_one, max_iter=25)
     for x in (np.eye(3), np.ones((2, 3))):
         with pytest.raises(ValueError, match="initial iterate shape"):
