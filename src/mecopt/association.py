@@ -50,8 +50,9 @@ class InstanceTooLargeError(ValueError):
 class QcqpInstance:
     """Quadratic program data for one association subproblem.
 
-    The stored fields are the per-user task FLOPs T, the per-server compute
-    rates f and scale, which multiplies latency into utility units. The
+    The stored fields are the per-user task FLOPs T and the per-server compute
+    rates f. Costs are compute latencies in seconds: the objective's weight
+    eta_lat * omega scales every assignment alike, so it is left out. The
     paper's matrices are built on each access: p_matrix stacks identical
     block-rows [J_1 ... J_K], J_k = diag(T_k / f), so that a' P a equals the
     total compute latency of the assignment; p1 is the homogenized cost with
@@ -61,7 +62,6 @@ class QcqpInstance:
 
     num_users: int
     num_servers: int
-    scale: float
     task_flops: np.ndarray
     server_flops: np.ndarray
 
@@ -114,34 +114,33 @@ def build_qcqp(cfg: SystemConfig, users: Sequence[UserProfile],
     return QcqpInstance(
         num_users=len(users),
         num_servers=len(servers),
-        scale=cfg.eta_lat * cfg.weight_omega,
         task_flops=user_task_flops(cfg, users, resolutions),
         server_flops=np.array([s.compute_flops for s in servers]),
     )
 
 
 def _batch_objectives(inst: QcqpInstance, indices: np.ndarray) -> np.ndarray:
-    """Scaled total compute latency for each row of server indices."""
+    """Total compute latency (s) for each row of server indices."""
     indices = np.atleast_2d(indices)
     rows, n = indices.shape[0], inst.num_servers
     counts = np.bincount((np.arange(rows)[:, None] * n + indices).ravel(),
                          minlength=rows * n).reshape(rows, n)
     per_user = inst.task_flops * counts[np.arange(rows)[:, None], indices] \
         / inst.server_flops[indices]
-    return inst.scale * per_user.sum(axis=1)
+    return per_user.sum(axis=1)
 
 
 def association_objective(inst: QcqpInstance, association: Association) -> float:
-    """Scaled total compute latency of one assignment, from the latency formulas."""
+    """Total compute latency (s) of one assignment, from the latency formulas."""
     return float(_batch_objectives(inst, association.server_indices[None, :])[0])
 
 
 def _block_cost(inst: QcqpInstance) -> np.ndarray:
-    """scale * (p1 + p1') / 2 as N blocks: block n's entry (j, k) is
-    (scale / 2) * (T_j / f_n + T_k / f_n), with a zero h row and column."""
+    """(p1 + p1') / 2 as N blocks: block n's entry (j, k) is
+    (T_j / f_n + T_k / f_n) / 2, with a zero h row and column."""
     per = (inst.task_flops[:, None] / inst.server_flops).T  # per[n, k] = T_k / f_n
     cost = np.zeros((inst.num_servers, inst.num_users + 1, inst.num_users + 1))
-    cost[:, :-1, :-1] = (inst.scale * 0.5) * (per[:, :, None] + per[:, None, :])
+    cost[:, :-1, :-1] = 0.5 * (per[:, :, None] + per[:, None, :])
     return cost
 
 
@@ -167,8 +166,12 @@ def _completion(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SdrResult:
-    lower_bound: float  # Tr(C X) at solution.x, the (N, K+1, K+1) stack
-    solution: SdpSolution
+    solution: SdpSolution  # x is the (N, K+1, K+1) block stack
+
+    @property
+    def lower_bound(self) -> float:
+        """Tr(C X) at solution.x, in compute-latency seconds."""
+        return self.solution.objective
 
     @property
     def b_star(self) -> np.ndarray:
@@ -223,7 +226,7 @@ def solve_association_sdr(inst: QcqpInstance, tol: float = 1e-6,
     (N, K+1, K+1) iterate, scaled dual and rho when it is given."""
     sol = solve_sdp(_block_cost(inst), _project_assignment, tol=tol, max_iter=max_iter,
                     initial=initial)
-    return SdrResult(lower_bound=sol.objective, solution=sol)
+    return SdrResult(sol)
 
 
 @dataclass(frozen=True)
@@ -266,7 +269,7 @@ def gaussian_randomize(inst: QcqpInstance, x: np.ndarray,
     server of its largest entry (ties to the lowest index). The
     candidate read off the completion's diagonal, b_kn^2 + S_n[k, k], is
     always included, so num_samples = 0 still yields a report. Candidates are
-    ranked by their true scaled compute latency; the bound is Tr(C X).
+    ranked by their true compute latency (s); the bound is Tr(C X).
     """
     if num_samples < 0:
         raise ValueError("num_samples must be nonnegative")
@@ -304,7 +307,7 @@ def gaussian_randomize(inst: QcqpInstance, x: np.ndarray,
 def exact_association(inst: QcqpInstance) -> Tuple[Association, float]:
     """Exact minimum of the association subproblem and its association_objective.
 
-    User k costs scale * T_k * L_n / f_n, so for fixed loads the rearrangement
+    User k costs T_k * L_n / f_n seconds, so for fixed loads the rearrangement
     inequality (Hardy, Littlewood & Polya, Inequalities, 1934) pairs the largest
     T with the smallest L_n / f_n: some optimum gives the users, sorted by T
     descending, to the servers in contiguous blocks. A DP over server subsets S

@@ -18,7 +18,7 @@ import logging
 import math
 import os
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -118,11 +118,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def float_list(text: str) -> List[float]:
+    return [float(v) for v in text.split(",")]
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = build_spec(args)
     kind = SweepKind(args.kind)
-    grid = ([float(v) for v in args.grid.split(",")] if args.grid
-            else DEFAULT_GRIDS[kind])
+    grid = args.grid or DEFAULT_GRIDS[kind]
     methods = args.methods.split(",")
     if args.large:
         spec = dataclasses.replace(spec, num_users=100, num_servers=20)
@@ -214,7 +217,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          choices=[k.value for k in SweepKind])
     p_sweep.add_argument("--methods", default=",".join(harness.METHODS))
     p_sweep.add_argument("--seeds", type=int, default=20)
-    p_sweep.add_argument("--grid", help="comma-separated sweep values")
+    p_sweep.add_argument("--grid", type=float_list, help="comma-separated sweep values")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--sdp-tol", type=float, default=SolveOptions.sdp_tol)
     p_sweep.add_argument("--timings", action="store_true",
@@ -246,6 +249,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p_sweep.error("--seeds must be at least 1")
     if args.command == "sweep" and not (math.isfinite(args.sdp_tol) and args.sdp_tol > 0):
         p_sweep.error("--sdp-tol must be finite and positive")
+    if args.command == "sweep" and not set(args.methods.split(",")) <= set(harness.METHODS):
+        p_sweep.error(f"--methods entries must be among {','.join(harness.METHODS)}")
     if args.command == "oracle-compare" and min(args.max_users, args.max_servers) < 2:
         p_oracle.error("--max-users and --max-servers must be at least 2")
     return args.func(args)

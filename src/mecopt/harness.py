@@ -18,11 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .association import SdrResult
 from .earnings import EarnFamily
 from .model import (STEREO_BITS_PER_PIXEL, ServerProfile, SystemConfig,
                     UserProfile, user_earnings)
-from .optimizer import BaselineKind, SolveOptions, run_baseline, solve_joint
+from .optimizer import BaselineKind, SdrCache, SolveOptions, run_baseline, solve_joint
 from .power import feasibility_ratio
 
 __all__ = [
@@ -185,7 +184,7 @@ def opt_earnings_total(cfg: SystemConfig, users: Sequence[UserProfile]) -> float
 
 def _solve_method(method: str, cfg: SystemConfig, users, servers,
                   opts: SolveOptions,
-                  sdr_cache: Optional[Dict[bytes, SdrResult]] = None) -> Tuple:
+                  sdr_cache: Optional[SdrCache] = None) -> Tuple:
     """One method's allocation, its outer iteration count (0 for methods
     that solve no relaxation) and its last rounding gap."""
     if method == "proposed":
@@ -222,7 +221,7 @@ def run_sweep(kind: SweepKind, spec: ScenarioSpec, methods: Sequence[str],
         base: Optional[Tuple] = None
         if kind is not SweepKind.USERS:
             base = generate_scenario(seeded)
-        sdr_cache: Dict[bytes, SdrResult] = {}
+        sdr_cache: SdrCache = {}
         for value in grid:
             if kind is SweepKind.USERS:
                 cfg, users, servers = generate_scenario(

@@ -185,7 +185,11 @@ class Association:
 
     @classmethod
     def from_server_indices(cls, indices: Sequence[int], num_servers: int) -> "Association":
-        idx = np.asarray(indices, dtype=np.int64)
+        """User k on server indices[k], each an integer in [0, num_servers)."""
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer) \
+                or np.any((idx < 0) | (idx >= num_servers)):
+            raise ValueError(f"server indices must be a 1-D integer array in [0, {num_servers})")
         a = np.zeros((idx.size, num_servers), dtype=np.int64)
         a[np.arange(idx.size), idx] = 1
         return cls(a)

@@ -6,7 +6,7 @@ the resolutions (every user's closed form in one pass) alternate until the
 objective stabilizes. The three reference methods share the same power rule
 so every comparison isolates the assignment/resolution choices. A caller
 that solves many methods or weights on one scenario passes a dict as
-sdr_cache, and relaxations that differ only in cost scale are solved once.
+sdr_cache, and an association pass that repeats across them runs once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .association import (QcqpInstance, SdrResult, _block_cost, build_qcqp,
+from .association import (QcqpInstance, RoundingReport, build_qcqp,
                           gaussian_randomize, solve_association_sdr)
 from .model import (Allocation, Association, ServerProfile, SystemConfig,
                     UserProfile, evaluate_allocation, total_objective)
@@ -83,27 +83,25 @@ def _derive_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence((base,) + tags).generate_state(1)[0])
 
 
-def _relax(inst: QcqpInstance, opts: SolveOptions, initial: Optional[SdpSolution],
-           cache: Optional[Dict[bytes, SdrResult]]) -> SdrResult:
-    """The association relaxation, reused from cache when it holds one.
+SdrCache = Dict[Tuple[bytes, bytes, SolveOptions, int], Tuple[SdpSolution, RoundingReport]]
 
-    Entries are keyed by the instance's task and server FLOPs, which fix the
-    relaxation up to the cost scale; the solver normalizes the cost, so a hit
-    reuses the cached solution, warm-start state included, and recomputes
-    only the bound at the new scale. The cache belongs to the caller, who
-    decides its lifetime.
-    """
-    key = (inst.task_flops.tobytes() + inst.server_flops.tobytes()
-           + inst.a_dim.to_bytes(4, "little"))
-    hit = cache.get(key) if cache is not None else None
-    if hit is not None:
-        bound = float((_block_cost(inst) * hit.solution.x).sum())
-        return SdrResult(bound, hit.solution)
-    res = solve_association_sdr(
-        inst, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter, initial=initial)
+
+def _associate(inst: QcqpInstance, opts: SolveOptions, warm: Optional[SdpSolution],
+               tag: int, cache: Optional[SdrCache]) -> Tuple[SdpSolution, RoundingReport]:
+    """One association pass: the relaxation, resumed from warm when given,
+    then rounded with the seed derived from tag. The weights do not enter
+    the subproblem, so the FLOP vectors, opts and tag fix the pass, and a
+    hit in the caller-owned cache is returned as it is, whatever warm is."""
+    key = (inst.task_flops.tobytes(), inst.server_flops.tobytes(), opts, tag)
+    if cache is not None and key in cache:
+        return cache[key]
+    sol = solve_association_sdr(
+        inst, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter, initial=warm).solution
+    done = sol, gaussian_randomize(
+        inst, sol.x, opts.rand_samples_l, _derive_seed(opts.rng_seed, tag))
     if cache is not None:
-        cache[key] = res
-    return res
+        cache[key] = done
+    return done
 
 
 def _prop1_powers(cfg: SystemConfig, users: Sequence[UserProfile]) -> np.ndarray:
@@ -112,7 +110,7 @@ def _prop1_powers(cfg: SystemConfig, users: Sequence[UserProfile]) -> np.ndarray
 
 def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
                 servers: Sequence[ServerProfile], opts: SolveOptions,
-                sdr_cache: Optional[Dict[bytes, SdrResult]] = None,
+                sdr_cache: Optional[SdrCache] = None,
                 ) -> Tuple[Allocation, SolveTrace]:
     """Alternating solve of powers, assignment and resolutions.
 
@@ -121,8 +119,8 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
     argmin, so the recorded objective sequence never increases. Starts from
     a round-robin assignment and the minimum resolution. Each relaxation
     resumes the previous outer iteration's solution (iterate, scaled dual
-    and rho). Relaxations are looked up in and added to sdr_cache when one
-    is given.
+    and rho). Association passes (relaxation plus rounding) are looked up
+    in and added to sdr_cache when one is given.
     """
     powers = _prop1_powers(cfg, users)
     resolutions = np.full(len(users), float(cfg.s_min_px))
@@ -131,19 +129,16 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
     f_prev = total_objective(cfg, users, servers, powers, resolutions, assoc)
     trace = SolveTrace(objective_values=[f_prev])
 
-    warm: Optional[SdpSolution] = None
+    sol: Optional[SdpSolution] = None
     for it in range(1, _MAX_OUTER_ITERS + 1):
         inst = build_qcqp(cfg, users, servers, resolutions)
-        sdr = _relax(inst, opts, warm, sdr_cache)
-        warm = sdr.solution
-        report = gaussian_randomize(
-            inst, sdr.solution.x, opts.rand_samples_l, _derive_seed(opts.rng_seed, it))
+        sol, report = _associate(inst, opts, sol, it, sdr_cache)
         trace.sdr_gaps.append(report.gap)
-        trace.sdp_iterations.append(sdr.solution.iterations)
-        trace.sdp_status.append(sdr.solution.status.value)
-        trace.sdp_primal_residual.append(sdr.solution.primal_residual)
-        trace.sdp_dual_residual.append(sdr.solution.dual_residual)
-        trace.sdp_rho.append(sdr.solution.rho)
+        trace.sdp_iterations.append(sol.iterations)
+        trace.sdp_status.append(sol.status.value)
+        trace.sdp_primal_residual.append(sol.primal_residual)
+        trace.sdp_dual_residual.append(sol.dual_residual)
+        trace.sdp_rho.append(sol.rho)
         accepted = total_objective(cfg, users, servers, powers, resolutions,
                                    report.best_assoc) < f_prev
         trace.association_accepted.append(accepted)
@@ -170,13 +165,13 @@ _BASELINE_SEED_TAG = {
 def run_baseline(kind: BaselineKind, cfg: SystemConfig,
                  users: Sequence[UserProfile], servers: Sequence[ServerProfile],
                  opts: SolveOptions,
-                 sdr_cache: Optional[Dict[bytes, SdrResult]] = None) -> Allocation:
+                 sdr_cache: Optional[SdrCache] = None) -> Allocation:
     """One of the three reference methods, with powers set by the closed form.
 
-    OPT_LATENCY pins the minimum resolution and runs the relaxation pipeline
-    for the assignment (its rounding seed matches the joint solver's first
-    pass, so on a shared seed both start from the same assignment); its
-    relaxation goes through sdr_cache, as in solve_joint.
+    OPT_LATENCY pins the minimum resolution and runs one association pass
+    (relaxation plus rounding) for the assignment. Its seed tag is the joint
+    solver's first, so on a shared seed both start from the same assignment,
+    and through sdr_cache each serves the other's pass.
     OPT_EARNINGS pins the maximum resolution with a uniform-random
     assignment; RANDOM draws both uniformly.
     """
@@ -187,10 +182,7 @@ def run_baseline(kind: BaselineKind, cfg: SystemConfig,
     if kind is BaselineKind.OPT_LATENCY:
         resolutions = np.full(k_total, cfg.s_min_px)
         inst = build_qcqp(cfg, users, servers, resolutions)
-        sdr = _relax(inst, opts, None, sdr_cache)
-        report = gaussian_randomize(
-            inst, sdr.solution.x, opts.rand_samples_l, _derive_seed(opts.rng_seed, tag))
-        assoc = report.best_assoc
+        assoc = _associate(inst, opts, None, tag, sdr_cache)[1].best_assoc
     elif kind is BaselineKind.OPT_EARNINGS:
         rng = np.random.default_rng(_derive_seed(opts.rng_seed, tag))
         resolutions = np.full(k_total, cfg.s_max_px)

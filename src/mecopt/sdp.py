@@ -46,6 +46,8 @@ def _check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise AsymmetricMatrixError(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite entry")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if float(np.abs(a - a.swapaxes(-1, -2)).max(initial=0.0)) > _SYM_TOL * scale:
         raise AsymmetricMatrixError(f"{name} is not symmetric within {_SYM_TOL}")

@@ -393,7 +393,7 @@ class MaskStep:
 
 
 def dense_sdr_cost(inst):
-    """The relaxation's dense (KN+1)^2 cost scale * (p1 + p1') / 2, scattered
+    """The relaxation's dense (KN+1)^2 cost (p1 + p1') / 2, scattered
     from the server blocks: entry ((j, n), (k, n)) is block n's (j, k) and
     every other entry is zero."""
     k, n = inst.num_users, inst.num_servers

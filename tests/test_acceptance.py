@@ -77,8 +77,8 @@ def test_ac03_quadratic_form_equivalence():
         for _ in range(25):
             assoc = random_one_hot(rng, k, n)
             a = assoc.assign.astype(float).ravel()
-            quad = inst.scale * float(a @ inst.p_matrix @ a)
-            total = inst.scale * evaluate_allocation(
+            quad = float(a @ inst.p_matrix @ a)
+            total = evaluate_allocation(
                 cfg, users, servers, powers, res, assoc).latency_proc_s.sum()
             worst = max(worst, abs(quad - total) / abs(total))
             checked += 1

@@ -72,24 +72,24 @@ def test_quadratic_form_matches_latency_model(rng):
         assert np.all(inst.p_matrix >= 0)
         assoc = random_one_hot(rng, k, n)
         a = _binary_vector(assoc)
-        quad = inst.scale * (a @ inst.p_matrix @ a)
+        quad = a @ inst.p_matrix @ a
         powers = np.full(k, 0.1)
         total = evaluate_allocation(
             cfg, users, servers, powers, res, assoc).latency_proc_s.sum()
-        assert quad == pytest.approx(inst.scale * total, rel=1e-9)
+        assert quad == pytest.approx(total, rel=1e-9)
         assert association_objective(inst, assoc) == pytest.approx(quad, rel=1e-9)
 
 
 def test_sdr_cost_matches_dense_homogenized_cost(rng):
     # The cost is built as server blocks from the FLOP vectors; scattered to
-    # the dense layout it must be scale * (p1 + p1') / 2 to the last bit.
+    # the dense layout it must be (p1 + p1') / 2 to the last bit.
     for _ in range(60):
         k = int(rng.integers(1, 31))
         n = int(rng.integers(1, 9))
         inst = QcqpInstance(
-            num_users=k, num_servers=n, scale=float(rng.uniform(0.1, 10)),
+            num_users=k, num_servers=n,
             task_flops=rng.uniform(1e5, 1e9, k), server_flops=rng.uniform(1e12, 5e12, n))
-        dense = inst.scale * 0.5 * (inst.p1 + inst.p1.T)
+        dense = 0.5 * (inst.p1 + inst.p1.T)
         assert dense_sdr_cost(inst).tobytes() == dense.tobytes()
 
 
@@ -454,6 +454,11 @@ def test_rounding_rejects_a_malformed_stack():
     skewed[0, 0, -1] += 0.1
     with pytest.raises(ValueError, match="symmetric"):
         gaussian_randomize(inst, skewed, 10, rng_seed=0)
+    for bad in (np.nan, np.inf):
+        spoiled = x.copy()
+        spoiled[-1, 0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            gaussian_randomize(inst, spoiled, 10, rng_seed=0)
 
 
 def test_brute_force_balances_identical_users():

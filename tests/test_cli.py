@@ -94,6 +94,8 @@ _SMALL_SWEEP = ["sweep", "--kind", "omega", "--methods", "random", "--grid", "1.
     (_SMALL_SWEEP + ["--seeds", "1", "--sdp-tol", "-1"], "--sdp-tol"),
     (_SMALL_SWEEP + ["--seeds", "1", "--sdp-tol", "0"], "--sdp-tol"),
     (_SMALL_SWEEP + ["--seeds", "1", "--sdp-tol", "nan"], "--sdp-tol"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--methods", "random,fastest"], "--methods"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--grid", "1.0,two"], "--grid"),
 ])
 def test_bad_counts_are_rejected_at_parse_time(args, flag, tmp_path, capsys):
     out = tmp_path / "s.csv"

@@ -235,6 +235,13 @@ def test_validate_association_cases():
         Association(bad_zero)
 
 
+def test_server_indices_outside_the_servers_are_rejected():
+    # numpy indexing would read -1 as the last server and cast 0.7 to 0
+    for indices in ([0, -1], [0, 0.7], [0, 3], [[0, 1]]):
+        with pytest.raises(ValueError, match="server indices"):
+            Association.from_server_indices(indices, 3)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 10 ** 6))
 def test_one_hot_constructions_always_validate(k, n, seed):

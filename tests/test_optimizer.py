@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mecopt import optimizer
-from mecopt.association import build_qcqp, solve_association_sdr
+from mecopt.association import gaussian_randomize, solve_association_sdr
 from mecopt.earnings import DEFAULT_PARAMS
-from mecopt.harness import ScenarioSpec, generate_scenario
+from mecopt.harness import METHODS, ScenarioSpec, SweepKind, generate_scenario, run_sweep
 from mecopt.model import Association, ServerProfile, total_objective
 from mecopt.optimizer import BaselineKind, SolveOptions, run_baseline, solve_joint
 from mecopt.power import optimal_power
@@ -89,31 +89,70 @@ def test_trace_records_sdp_residuals(monkeypatch):
     assert all(0.0 <= r < opts.sdp_tol for r in trace.sdp_primal_residual + trace.sdp_dual_residual)
 
 
+def _count_calls(monkeypatch):
+    """Wrap the solve path's two association steps, counting their calls."""
+    calls = {"solve_association_sdr": 0, "gaussian_randomize": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(optimizer, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(optimizer, name, counted)
+    return calls
+
+
 def test_relaxation_cache_hit_matches_fresh_solve(monkeypatch):
-    # Doubling omega doubles the cost exactly, so its normalized form, and
-    # with it the relaxation, is unchanged: the optlat relaxation at s_min
-    # is the one solve_joint's first outer iteration cached.
+    # The association subproblem does not depend on omega, and optlat's
+    # pass at s_min is solve_joint's first (same instance, options and seed
+    # tag), so at omega = 3 it comes from the cache filled at omega = 1,
+    # rounding included, and equals a run without the cache.
     cfg, users, servers = small_scenario(62, 5, 3, weight_omega=1.0)
-    cfg2 = dataclasses.replace(cfg, weight_omega=2.0)
+    cfg3 = dataclasses.replace(cfg, weight_omega=3.0)
     opts = SolveOptions(rng_seed=3, rand_samples_l=100, **FAST)
+    uncached = run_baseline(BaselineKind.OPT_LATENCY, cfg3, users, servers, opts)
     cache = {}
     solve_joint(cfg, users, servers, opts, sdr_cache=cache)
     filled = len(cache)
     assert filled >= 1
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the relaxation should come from the cache")
+    def no_call(*args, **kwargs):
+        raise AssertionError("the association pass should come from the cache")
 
-    monkeypatch.setattr(optimizer, "solve_association_sdr", no_solve)
-    run_baseline(BaselineKind.OPT_LATENCY, cfg2, users, servers, opts, sdr_cache=cache)
+    monkeypatch.setattr(optimizer, "solve_association_sdr", no_call)
+    monkeypatch.setattr(optimizer, "gaussian_randomize", no_call)
+    cached = run_baseline(BaselineKind.OPT_LATENCY, cfg3, users, servers, opts,
+                          sdr_cache=cache)
     assert len(cache) == filled
-    inst = build_qcqp(cfg2, users, servers, np.full(len(users), cfg2.s_min_px))
-    hit = optimizer._relax(inst, opts, None, cache)
+    assert np.array_equal(cached.association.assign, uncached.association.assign)
+    assert cached.objective == uncached.objective
     monkeypatch.undo()
 
-    fresh = solve_association_sdr(inst, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter)
-    assert hit.b_star.tobytes() == fresh.b_star.tobytes()
-    assert hit.lower_bound == fresh.lower_bound
+    # other SDP settings are another pass: it misses and is solved and rounded
+    calls = _count_calls(monkeypatch)
+    run_baseline(BaselineKind.OPT_LATENCY, cfg3, users, servers,
+                 dataclasses.replace(opts, sdp_tol=opts.sdp_tol / 2), sdr_cache=cache)
+    assert calls == {"solve_association_sdr": 1, "gaussian_randomize": 1}
+    assert len(cache) == filled + 1
+
+
+def test_optlat_runs_one_association_pass(monkeypatch):
+    cfg, users, servers = small_scenario(63, 6, 3)
+    calls = _count_calls(monkeypatch)
+    run_baseline(BaselineKind.OPT_LATENCY, cfg, users, servers, SolveOptions(**FAST))
+    assert calls == {"solve_association_sdr": 1, "gaussian_randomize": 1}
+
+
+def test_sweep_never_repeats_a_rounding(monkeypatch):
+    seen = []
+
+    def recording(inst, x, num_samples, rng_seed):
+        seen.append((x.tobytes(), rng_seed, num_samples))
+        return gaussian_randomize(inst, x, num_samples, rng_seed)
+
+    monkeypatch.setattr(optimizer, "gaussian_randomize", recording)
+    run_sweep(SweepKind.OMEGA, ScenarioSpec(seed=64, num_users=6, num_servers=3),
+              METHODS, [0.5, 1.0, 3.0], num_seeds=2, rand_samples=100,
+              sdp_tol=FAST["sdp_tol"], sdp_max_iter=FAST["sdp_max_iter"])
+    assert seen and len(set(seen)) == len(seen)
 
 
 def test_warm_outer_iterations_take_fewer_iterations_than_cold_solves(monkeypatch):

@@ -44,6 +44,11 @@ def test_eig_rejects_asymmetric(rng):
         project_psd(a)
     with pytest.raises(AsymmetricMatrixError):
         project_psd(rng.standard_normal((3, 4)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            project_psd(np.array([[1.0, bad], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            project_psd(np.full((2, 2, 2), bad))
     with pytest.raises(ValueError):
         jacobi_eig(a)
 
@@ -183,7 +188,7 @@ def test_solve_sdp_forced_single_assignment():
     server = ServerProfile(1e12)
     inst = build_qcqp(cfg, [user], [server], [2e6])
     res = solve_association_sdr(inst, tol=1e-8)
-    want = inst.scale * inst.task_flops[0] / server.compute_flops
+    want = inst.task_flops[0] / server.compute_flops
     assert res.lower_bound == pytest.approx(want, rel=1e-5)
     assert res.b_star == pytest.approx(np.ones((2, 2)), abs=1e-5)
 
@@ -251,6 +256,9 @@ def test_problem_validation():
         solve_sdp(np.array([[0.0, 1.0], [0.0, 0.0]]), trace_one)
     with pytest.raises(AsymmetricMatrixError):
         solve_sdp(np.ones((2, 3)), trace_one)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="cost has a non-finite entry"):
+            solve_sdp(np.array([[1.0, 0.0], [0.0, bad]]), trace_one)
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             solve_sdp(np.eye(2), trace_one, tol=bad)
