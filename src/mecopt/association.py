@@ -16,7 +16,8 @@ then h; Fukuda et al., SIAM J. Optim. 2001), and the rest is a polytope with
 a closed-form projection (per-user simplices across the N borders, fixed
 corners, a one-threshold water-fill of the diagonals), which solve_sdp
 splits against the cone. Rounding samples B, the blocks' PSD completion,
-one server block at a time; the dense B is built only when read.
+one server block at a time, and scores the sampled candidates _SCORE_ROWS
+at a time; the dense B is built only when read.
 """
 
 from __future__ import annotations
@@ -229,6 +230,9 @@ def solve_association_sdr(inst: QcqpInstance, tol: float = 1e-6,
     return SdrResult(sol)
 
 
+_SCORE_ROWS = 128  # sampled candidates per _batch_objectives call in the rounding
+
+
 @dataclass(frozen=True)
 class RoundingReport:
     num_samples: int
@@ -243,17 +247,21 @@ def _lifted_draws(border: np.ndarray, schur: np.ndarray, num_samples: int,
     """h = |N(0, 1)| (samples,) and an iterator over the servers' draws
     x_n = b_n h + L_n g_n (samples, K), with L_n L_n' = S_n and g standard
     normal: [x; h] has the completion's second moment. Server n's normals are
-    drawn when x_n is requested, in the order of one (N, samples, K) draw, so
-    only a few (samples, K) arrays are live at a time."""
+    drawn when x_n is requested, in the order of one (N, samples, K) draw.
+    Every x_n is written into the same (samples, K) array, which the next
+    step overwrites, so a caller that keeps one copies it; the normals and
+    h b_n' share one more, so two such arrays are live."""
     w, v = np.linalg.eigh(schur)
     factor_t = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]).swapaxes(-1, -2)
     rng = np.random.default_rng(rng_seed)
     h = np.abs(rng.standard_normal(num_samples))
 
     def per_server() -> Iterator[np.ndarray]:
+        x_n = np.empty((num_samples, border.shape[1]))
+        buf = np.empty_like(x_n)
         for b_n, f_n in zip(border, factor_t):
-            x_n = rng.standard_normal((num_samples, b_n.size)) @ f_n
-            x_n += h[:, None] * b_n
+            np.matmul(rng.standard_normal(out=buf), f_n, out=x_n)
+            x_n += np.multiply(h[:, None], b_n, out=buf)
             yield x_n
 
     return h, per_server()
@@ -266,10 +274,17 @@ def gaussian_randomize(inst: QcqpInstance, x: np.ndarray,
     Draws num_samples vectors from the Gaussian whose second moment is the
     stack's PSD completion (SdrResult.b_star) one server at a time, folding
     each server's draws into a running maximum, and gives each user the
-    server of its largest entry (ties to the lowest index). The
-    candidate read off the completion's diagonal, b_kn^2 + S_n[k, k], is
-    always included, so num_samples = 0 still yields a report. Candidates are
+    server of its largest entry (ties to the lowest index). The candidate
+    read off the completion's diagonal, b_kn^2 + S_n[k, k], is the first
+    incumbent, so num_samples = 0 still yields a report. The samples are
+    then scored _SCORE_ROWS at a time and replace the incumbent only when
+    strictly better, so ties go to the earliest candidate. Candidates are
     ranked by their true compute latency (s); the bound is Tr(C X).
+
+    The working set is three (num_samples, K) float64 arrays, the running
+    maximum and _lifted_draws' two buffers, plus the picked servers, one
+    (num_samples, K) array of the smallest unsigned type that holds N - 1;
+    scoring a block adds O(_SCORE_ROWS (K + N)).
     """
     if num_samples < 0:
         raise ValueError("num_samples must be nonnegative")
@@ -278,29 +293,31 @@ def gaussian_randomize(inst: QcqpInstance, x: np.ndarray,
     if x.shape != shape:
         raise ValueError(f"relaxation stack shape {x.shape} != {shape}")
     border, schur = _schur_parts(x)
-    candidates = [np.argmax(border * border + np.diagonal(schur, axis1=1, axis2=2), axis=0)]
+    best = np.argmax(border * border + np.diagonal(schur, axis1=1, axis2=2), axis=0)
+    best_objective = _batch_objectives(inst, best)[0]
     if num_samples:
         draws = _lifted_draws(border, schur, num_samples, rng_seed)[1]
-        top = next(draws)
-        pick = np.zeros(top.shape, dtype=np.intp)
+        top = next(draws).copy()
+        pick = np.zeros(top.shape, dtype=np.min_scalar_type(inst.num_servers - 1))
         for n, x_n in enumerate(draws, 1):
             # x_n > top is strict, so ties keep the lowest server, as argmax
             # does; n exceeds every earlier pick, so the maximum writes n
-            # exactly where x_n is better, without a (slower) masked write
-            np.maximum(pick, n * (x_n > top), out=pick)
+            # exactly where x_n is better, without a (slower) masked write.
+            # n in pick's type keeps the product as narrow as pick.
+            np.maximum(pick, (x_n > top) * pick.dtype.type(n), out=pick)
             np.maximum(top, x_n, out=top)
-        candidates.append(pick)
-    all_idx = np.vstack(candidates)
-
-    objs = _batch_objectives(inst, all_idx)
-    best = int(np.argmin(objs))
+        for start in range(0, num_samples, _SCORE_ROWS):
+            objs = _batch_objectives(inst, pick[start:start + _SCORE_ROWS])
+            i = int(np.argmin(objs))
+            if objs[i] < best_objective:
+                best_objective, best = objs[i], pick[start + i]
     bound = float((_block_cost(inst) * x).sum())
     return RoundingReport(
         num_samples=num_samples,
-        best_objective=float(objs[best]),
-        best_assoc=Association.from_server_indices(all_idx[best], inst.num_servers),
+        best_objective=float(best_objective),
+        best_assoc=Association.from_server_indices(best, inst.num_servers),
         sdr_lower_bound=bound,
-        gap=(float(objs[best]) - bound) / max(abs(bound), 1e-300),
+        gap=(float(best_objective) - bound) / max(abs(bound), 1e-300),
     )
 
 

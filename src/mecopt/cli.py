@@ -25,7 +25,8 @@ import numpy as np
 from . import harness
 from .association import build_qcqp, exact_association, gaussian_randomize, solve_association_sdr
 from .earnings import EarnFamily, fit_params
-from .harness import ScenarioSpec, SweepKind, emit_results, generate_scenario, run_sweep
+from .harness import (ScenarioSpec, SweepKind, check_grid, emit_results, generate_scenario,
+                      run_sweep)
 from .model import snap_resolution
 from .optimizer import SolveOptions
 
@@ -245,12 +246,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     solving = {"run": p_run, "sweep": p_sweep, "oracle-compare": p_oracle}
     if args.command in solving and args.samples < 0:
         solving[args.command].error("--samples must be nonnegative")
+    for flag in ("users", "servers"):
+        count = getattr(args, flag, None)
+        if args.command in solving and count is not None and count < 1:
+            solving[args.command].error(f"--{flag} must be at least 1")
+    if args.command == "run" and args.omega is not None \
+            and not (math.isfinite(args.omega) and args.omega > 0):
+        p_run.error("--omega must be finite and positive")
     if args.command == "sweep" and args.seeds < 1:
         p_sweep.error("--seeds must be at least 1")
     if args.command == "sweep" and not (math.isfinite(args.sdp_tol) and args.sdp_tol > 0):
         p_sweep.error("--sdp-tol must be finite and positive")
     if args.command == "sweep" and not set(args.methods.split(",")) <= set(harness.METHODS):
         p_sweep.error(f"--methods entries must be among {','.join(harness.METHODS)}")
+    if args.command == "sweep":
+        kind, spec = SweepKind(args.kind), build_spec(args)
+        try:
+            check_grid(kind, spec, args.grid or DEFAULT_GRIDS[kind])
+        except ValueError as exc:
+            p_sweep.error(f"--grid: {exc}")
     if args.command == "oracle-compare" and min(args.max_users, args.max_servers) < 2:
         p_oracle.error("--max-users and --max-servers must be at least 2")
     return args.func(args)

@@ -30,6 +30,7 @@ __all__ = [
     "ResultRow",
     "CSV_HEADER",
     "generate_scenario",
+    "check_grid",
     "run_sweep",
     "emit_results",
     "opt_earnings_total",
@@ -119,12 +120,7 @@ def generate_scenario(spec: ScenarioSpec,
     servers = [ServerProfile(compute_flops=float(f))
                for f in rng.uniform(*spec.compute_flops, size=spec.num_servers)]
 
-    overrides = dict(spec.config_overrides)
-    unknown = set(overrides) - {f.name for f in dataclasses.fields(SystemConfig)}
-    if unknown:
-        raise ValueError(f"unknown SystemConfig overrides: {sorted(unknown)}")
-    probe_cfg = SystemConfig(num_users=spec.num_users,
-                             num_servers=spec.num_servers, **overrides)
+    probe_cfg = _spec_config(spec)
     if spec.downlink_rate_bps[1] > probe_cfg.rate_norm_bps:
         raise ValueError(f"downlink rate {spec.downlink_rate_bps[1]} exceeds the earnings "
                          f"normalizer rate_norm_bps {probe_cfg.rate_norm_bps}")
@@ -150,9 +146,17 @@ def generate_scenario(spec: ScenarioSpec,
     if not users:
         raise ValueError("every sampled user was energy-infeasible")
 
-    cfg = SystemConfig(num_users=len(users), num_servers=spec.num_servers,
-                       **overrides)
+    cfg = dataclasses.replace(probe_cfg, num_users=len(users))
     return cfg, users, servers
+
+
+def _spec_config(spec: ScenarioSpec) -> SystemConfig:
+    """The SystemConfig of spec's counts and config_overrides."""
+    unknown = set(spec.config_overrides) - {f.name for f in dataclasses.fields(SystemConfig)}
+    if unknown:
+        raise ValueError(f"unknown SystemConfig overrides: {sorted(unknown)}")
+    return SystemConfig(num_users=spec.num_users, num_servers=spec.num_servers,
+                        **spec.config_overrides)
 
 
 class SweepKind(Enum):
@@ -197,6 +201,25 @@ def _solve_method(method: str, cfg: SystemConfig, users, servers,
     return alloc, (1 if kind is BaselineKind.OPT_LATENCY else 0), 0.0
 
 
+def check_grid(kind: SweepKind, spec: ScenarioSpec, grid: Sequence[float]) -> None:
+    """Raise ValueError naming the first grid value that makes no valid sweep
+    point: a user count must be a whole number that ScenarioSpec accepts, an
+    omega or s_min a value that spec's SystemConfig accepts."""
+    cfg = _spec_config(spec)
+    for value in grid:
+        try:
+            if kind is SweepKind.USERS:
+                if not float(value).is_integer():
+                    raise ValueError("a user count must be a whole number")
+                dataclasses.replace(spec, num_users=int(value))
+            elif kind is SweepKind.OMEGA:
+                dataclasses.replace(cfg, weight_omega=float(value))
+            else:
+                dataclasses.replace(cfg, s_min_px=float(value))
+        except ValueError as exc:
+            raise ValueError(f"{kind.value} grid value {value!r}: {exc}") from None
+
+
 def run_sweep(kind: SweepKind, spec: ScenarioSpec, methods: Sequence[str],
               grid: Sequence[float], num_seeds: int = 20,
               rand_samples: int = SolveOptions.rand_samples_l,
@@ -206,13 +229,15 @@ def run_sweep(kind: SweepKind, spec: ScenarioSpec, methods: Sequence[str],
 
     Deterministic for a fixed spec: scenario seeds are spec.seed + i and all
     solver randomness derives from them. Per-point failures are recorded in
-    the row's status and the sweep continues.
+    the row's status and the sweep continues; a grid value that makes no
+    valid point raises ValueError (check_grid) before anything is solved.
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
     bad = set(methods) - set(METHODS)
     if bad:
         raise ValueError(f"unknown methods: {sorted(bad)}")
+    check_grid(kind, spec, grid)
 
     rows: List[ResultRow] = []
     for i in range(num_seeds):

@@ -91,8 +91,8 @@ class SystemConfig:
         for name in ("bandwidth_hz", "noise_density_w_per_hz", "weight_omega",
                      "eta_earn", "eta_lat", "lambda_up_flop_per_bit",
                      "s_min_px", "s_max_px", "res_norm_px", "rate_norm_bps"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
         if not self.s_min_px < self.s_max_px:
             raise ValueError("s_min_px must be below s_max_px")
         if self.s_max_px > self.res_norm_px:

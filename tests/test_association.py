@@ -354,7 +354,7 @@ def test_lifted_draws_have_the_completion_as_second_moment():
     sdr = solve_association_sdr(inst)
     samples = 200_000
     h, draws = association._lifted_draws(*association._schur_parts(sdr.solution.x), samples, 5)
-    x = np.stack(list(draws))
+    x = np.stack([x_n.copy() for x_n in draws])  # each step overwrites the last
     assert h.shape == (samples,) and h.min() >= 0.0 and x.shape == (3, samples, 6)
     lifted = np.column_stack([x.transpose(1, 2, 0).reshape(samples, -1), h])
     moment = lifted.T @ lifted / samples
@@ -401,6 +401,41 @@ def test_rounding_memory_does_not_grow_with_servers():
     finally:
         tracemalloc.stop()
     assert peak < n * samples * k * 8
+
+
+def test_streamed_rounding_equals_the_batched_draw_past_256_or_on_equal_servers():
+    # Server indices past 255 do not fit the one-byte picks of smaller N; on
+    # servers of one speed, candidates that differ only in which servers they
+    # use tie exactly, and the first of them must win.
+    for seed, k, n, equal in ((82, 3, 300, False), (85, 4, 3, True)):
+        cfg, users, servers = small_scenario(seed, k, n)
+        if equal:
+            servers = [ServerProfile(compute_flops=2e12)] * n
+        inst = build_qcqp(cfg, users, servers, np.full(k, cfg.s_min_px))
+        x = solve_association_sdr(inst, max_iter=50).solution.x
+        for rng_seed in (4, 5):
+            got = gaussian_randomize(inst, x, 300, rng_seed=rng_seed)
+            ref = batched_gaussian_randomize(inst, x, 300, rng_seed=rng_seed)
+            assert np.array_equal(got.best_assoc.assign, ref.best_assoc.assign)
+            assert got.best_objective == ref.best_objective and got.gap == ref.gap
+
+
+def test_rounding_holds_only_its_draw_buffers():
+    # The running maximum and the two draw buffers are three (samples, K)
+    # float64 arrays; stacking and scoring every candidate at once took 7.5.
+    samples = 1000
+    for seed, k, n in ((83, 30, 6), (84, 20, 5)):
+        cfg, users, servers = small_scenario(seed, k, n)
+        inst = build_qcqp(cfg, users, servers, np.full(k, cfg.s_min_px))
+        x = solve_association_sdr(inst, max_iter=10).solution.x
+        gaussian_randomize(inst, x, samples, rng_seed=1)
+        tracemalloc.start()
+        try:
+            gaussian_randomize(inst, x, samples, rng_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * samples * k * 8
 
 
 def test_diagonal_candidate_is_the_completion_diagonal_argmax(rng):

@@ -96,6 +96,20 @@ _SMALL_SWEEP = ["sweep", "--kind", "omega", "--methods", "random", "--grid", "1.
     (_SMALL_SWEEP + ["--seeds", "1", "--sdp-tol", "nan"], "--sdp-tol"),
     (_SMALL_SWEEP + ["--seeds", "1", "--methods", "random,fastest"], "--methods"),
     (_SMALL_SWEEP + ["--seeds", "1", "--grid", "1.0,two"], "--grid"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--grid", "-1"], "--grid"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--grid", "1.0,nan"], "--grid"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--kind", "smin", "--grid", "5e7"], "--grid"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--kind", "users", "--grid", "0"], "--grid"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--kind", "users", "--grid", "2.5"], "--grid"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--users", "0"], "--users"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--servers", "0"], "--servers"),
+    (["run", "--omega", "-1"], "--omega"),
+    (["run", "--omega", "nan"], "--omega"),
+    (["run", "--omega", "inf"], "--omega"),
+    (["run", "--users", "0"], "--users"),
+    (["run", "--servers", "0"], "--servers"),
+    (["oracle-compare", "--users", "0"], "--users"),
+    (["oracle-compare", "--servers", "0"], "--servers"),
 ])
 def test_bad_counts_are_rejected_at_parse_time(args, flag, tmp_path, capsys):
     out = tmp_path / "s.csv"

@@ -166,6 +166,25 @@ def test_sweep_csv_byte_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("kind, grid, value", [
+    (SweepKind.OMEGA, [1.0, -1.0], "-1.0"),
+    (SweepKind.OMEGA, [float("nan")], "nan"),
+    (SweepKind.OMEGA, [float("inf")], "inf"),
+    (SweepKind.SMIN, [5e7], "50000000.0"),
+    (SweepKind.USERS, [2, 0], "0"),
+    (SweepKind.USERS, [2.5], "2.5"),
+])
+def test_bad_grid_values_are_rejected_before_any_solve(kind, grid, value, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sweep point ran before the grid was checked")
+
+    monkeypatch.setattr("mecopt.harness.generate_scenario", no_work)
+    monkeypatch.setattr("mecopt.harness.run_baseline", no_work)
+    with pytest.raises(ValueError, match=f"{kind.value} grid value {value}:"):
+        run_sweep(kind, ScenarioSpec(seed=1, num_users=2, num_servers=2), ["random"],
+                  grid, num_seeds=1)
+
+
 def test_optearn_rows_are_the_earnings_anchor():
     spec = ScenarioSpec(seed=21000, num_users=10, num_servers=4)
     rows = run_sweep(SweepKind.OMEGA, spec, ["optearn"], [0.5, 1.0, 2.0, 3.0, 5.0],
