@@ -11,8 +11,10 @@ under its own checkout's ``bench/out/``; this script edits nothing.
 It prints one line per pair (exit codes, and whether ``utility_sum`` and,
 where the workload writes a CSV, ``csv_sha256`` match), then one line per
 end-to-end metric: each side's median, the parent's quartiles and their
-spread, and in how many pairs the change read better (ties count for
-neither side). Which way is better comes from the parent's BENCHMARK.json.
+spread, in how many pairs the change read better (ties count for neither
+side), and the median and quartiles of the per-pair change/parent ratio.
+A metric whose change median reads worse than the parent's is marked
+``WORSE``. Which way is better comes from the parent's BENCHMARK.json.
 The exit code is 1 if any run exited non-zero, failed a check or counted a
 failed operation.
 """
@@ -76,6 +78,7 @@ def main(argv=None) -> int:
 
     values: Dict[str, Dict[str, List[float]]] = {"parent": {}, "change": {}}
     wins = {name: 0 for name in better}
+    ratios: Dict[str, List[float]] = {name: [] for name in better}
     status = 0
     for i in range(args.pairs):
         seed = args.seed + i
@@ -92,6 +95,8 @@ def main(argv=None) -> int:
             if name in metrics["parent"] and name in metrics["change"]:
                 p, c = metrics["parent"][name]["value"], metrics["change"][name]["value"]
                 wins[name] += (c < p) if way == "lower" else (c > p)
+                if p:
+                    ratios[name].append(c / p)
         same = {key: ("n/a" if key not in runs["parent"][2]
                       else runs["parent"][2][key] == runs["change"][2].get(key))
                 for key in ("utility_sum", "csv_sha256")}
@@ -100,16 +105,22 @@ def main(argv=None) -> int:
               f"{same['utility_sum']}; csv_sha256 same {same['csv_sha256']}", flush=True)
 
     print(f"{args.workload}: {args.pairs} pairs, medians parent -> change "
-          f"[parent q1-q3, spread], change better in")
+          f"[parent q1-q3, spread], change better in, change/parent ratio "
+          f"median [q1-q3]")
     for name, way in better.items():
         p, c = values["parent"].get(name), values["change"].get(name)
         if not p or not c:
             print(f"  {name}: no values")
             continue
         q1, q3 = quartiles(p)
-        print(f"  {name} ({way} is better): {statistics.median(p):.6g} -> "
-              f"{statistics.median(c):.6g} [{q1:.6g}-{q3:.6g}, {q3 - q1:.3g}], "
-              f"{wins[name]}/{args.pairs}")
+        mp, mc = statistics.median(p), statistics.median(c)
+        worse = mc > mp if way == "lower" else mc < mp
+        r = ratios[name] or [float("nan")]
+        r1, r3 = quartiles(r)
+        print(f"  {name} ({way} is better): {mp:.6g} -> {mc:.6g} "
+              f"[{q1:.6g}-{q3:.6g}, {q3 - q1:.3g}], {wins[name]}/{args.pairs}, "
+              f"ratio {statistics.median(r):.4g} [{r1:.4g}-{r3:.4g}]"
+              f"{'  WORSE' if worse else ''}")
     return status
 
 

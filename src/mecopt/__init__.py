@@ -13,7 +13,7 @@ from .power import (EnergyInfeasibleError, PowerBinding, PowerSolution, WBranch,
                     optimal_power)
 from .sdp import SdpSolution, SdpStatus, project_psd, solve_sdp
 from .association import (QcqpInstance, RoundingReport, SdrResult,
-                          build_qcqp, exact_association,
+                          build_qcqp, descend_association, exact_association,
                           gaussian_randomize, solve_association_sdr)
 from .resolution import optimal_resolution
 from .optimizer import (BaselineKind, SolveOptions, SolveTrace, run_baseline,

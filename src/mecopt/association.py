@@ -6,8 +6,8 @@ assignment vector. P pairs only users on the same server, so an instance
 stores just the per-user task FLOPs and per-server compute rates. The binary
 program is lifted to a semidefinite relaxation over B = b b' (b the
 homogenized vector), solved, and rounded back to a feasible one-hot
-assignment by Gaussian randomization. An exact dynamic program over subsets
-of servers is provided as the oracle for instances up to about 40x8.
+assignment by Gaussian randomization, then refined by load descent. An exact
+dynamic program over subsets of servers is the oracle up to about 40x8.
 
 The cost and every constraint but B >= 0 touch only same-server entries and
 the homogenization entry h: N cliques sharing only h, a chordal pattern. So
@@ -23,7 +23,7 @@ at a time; the dense B is built only when read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "association_objective",
     "solve_association_sdr",
     "gaussian_randomize",
+    "descend_association",
     "exact_association",
 ]
 
@@ -221,13 +222,9 @@ def _project_assignment(v: np.ndarray) -> np.ndarray:
 
 
 def solve_association_sdr(inst: QcqpInstance, tol: float = 1e-6,
-                          max_iter: int = 20000,
-                          initial: Optional[SdpSolution] = None) -> SdrResult:
-    """Solve the relaxation over server blocks, warm-started from initial's
-    (N, K+1, K+1) iterate, scaled dual and rho when it is given."""
-    sol = solve_sdp(_block_cost(inst), _project_assignment, tol=tol, max_iter=max_iter,
-                    initial=initial)
-    return SdrResult(sol)
+                          max_iter: int = 20000) -> SdrResult:
+    """Solve the relaxation over server blocks."""
+    return SdrResult(solve_sdp(_block_cost(inst), _project_assignment, tol=tol, max_iter=max_iter))
 
 
 _SCORE_ROWS = 128  # sampled candidates per _batch_objectives call in the rounding
@@ -319,6 +316,47 @@ def gaussian_randomize(inst: QcqpInstance, x: np.ndarray,
         sdr_lower_bound=bound,
         gap=(float(best_objective) - bound) / max(abs(bound), 1e-300),
     )
+
+
+def descend_association(inst: QcqpInstance, start: Association) -> Association:
+    """Load descent on the association subproblem; never above start.
+
+    At fixed server loads L, the users sorted by T descending fill the
+    servers in ascending L_n / f_n in contiguous blocks (see
+    exact_association), which prices a load vector in one sort. From
+    start's loads and from equal loads, each step scores all N(N-1) moves
+    of one user between servers in one array pass and takes the cheapest
+    while it is strictly cheaper. Returns the better end's assignment if it
+    is strictly below start (start is row 0 of the argmin), else start.
+    """
+    k_total, n_total = inst.num_users, inst.num_servers
+    order = np.argsort(-inst.task_flops, kind="stable")
+    prefix = np.concatenate([[0.0], np.cumsum(inst.task_flops[order])])
+    eye = np.eye(n_total, dtype=np.int64)
+    moves = (eye[:, None] - eye)[eye == 0]  # row (i, j), i != j: a user from j to i
+
+    def descend(loads: np.ndarray) -> Tuple[float, np.ndarray]:
+        while True:  # row 0 is loads itself, so argmin leaves it only to go lower
+            rows = np.vstack([loads, loads + moves])
+            rows = rows[(rows >= 0).all(axis=1)]
+            rate = rows / inst.server_flops
+            by = np.argsort(rate, axis=1, kind="stable")
+            ends = np.cumsum(np.take_along_axis(rows, by, axis=1), axis=1)
+            costs = (np.take_along_axis(rate, by, axis=1)
+                     * np.diff(prefix[ends], axis=1, prepend=0.0)).sum(axis=1)
+            i = int(np.argmin(costs))
+            if i == 0:
+                return costs[0], loads
+            loads = rows[i]
+
+    loads = min(descend(np.bincount(start.server_indices, minlength=n_total)),
+                descend(np.bincount(np.arange(k_total) % n_total, minlength=n_total)),
+                key=lambda end: end[0])[1]
+    by = np.argsort(loads / inst.server_flops, kind="stable")
+    both = np.vstack([start.server_indices, np.empty(k_total, dtype=np.int64)])
+    both[1, order] = np.repeat(by, loads[by])
+    return Association.from_server_indices(
+        both[int(np.argmin(_batch_objectives(inst, both)))], n_total)
 
 
 def exact_association(inst: QcqpInstance) -> Tuple[Association, float]:

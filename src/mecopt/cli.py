@@ -131,7 +131,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.large:
         spec = dataclasses.replace(spec, num_users=100, num_servers=20)
         print(f"warning: full-scale sweep of {args.seeds * len(grid) * len(methods)} solves; "
-              "one 100x20 `mecopt run` took 8-10 s and 62 MB peak RSS on 2 vCPUs", file=sys.stderr)
+              "one 100x20 `mecopt run`: 2.3-3.2 s and 60 MB peak RSS on 2 vCPUs", file=sys.stderr)
     rows = run_sweep(kind, spec, methods, grid, num_seeds=args.seeds,
                      rand_samples=args.samples, sdp_tol=args.sdp_tol)
     emit_results(rows, args.out, include_timings=args.timings)
@@ -225,7 +225,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          help="write measured wall times (breaks byte determinism)")
     p_sweep.add_argument("--large", action="store_true",
                          help="full-scale counts (100 users, 20 servers); one solve "
-                         "took 8-10 s and 62 MB peak RSS on 2 vCPUs")
+                         "took 2.3-3.2 s and 60 MB peak RSS on 2 vCPUs")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle-compare", help="relaxation vs the exact association DP")
@@ -250,6 +250,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         count = getattr(args, flag, None)
         if args.command in solving and count is not None and count < 1:
             solving[args.command].error(f"--{flag} must be at least 1")
+    if args.command in solving and args.config:
+        try:
+            harness._spec_config(build_spec(args))
+        except (OSError, ValueError) as exc:
+            solving[args.command].error(f"--config {args.config}: {exc}")
     if args.command == "run" and args.omega is not None \
             and not (math.isfinite(args.omega) and args.omega > 0):
         p_run.error("--omega must be finite and positive")

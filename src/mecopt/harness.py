@@ -69,7 +69,7 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         if self.num_users < 1 or self.num_servers < 1:
-            raise ValueError("need at least one user and one server")
+            raise ValueError("num_users and num_servers must be at least 1")
         if not 0 < self.min_distance_km < self.cell_radius_km:
             raise ValueError("distances must satisfy 0 < min < radius")
         for name in ("compute_flops", "compression", "downlink_rate_bps",
@@ -190,12 +190,10 @@ def _solve_method(method: str, cfg: SystemConfig, users, servers,
                   opts: SolveOptions,
                   sdr_cache: Optional[SdrCache] = None) -> Tuple:
     """One method's allocation, its outer iteration count (0 for methods
-    that solve no relaxation) and its last rounding gap."""
+    that solve no relaxation) and its association pass's rounding gap."""
     if method == "proposed":
         alloc, trace = solve_joint(cfg, users, servers, opts, sdr_cache=sdr_cache)
-        iters = len(trace.objective_values) - 1
-        gap = trace.sdr_gaps[-1] if trace.sdr_gaps else 0.0
-        return alloc, iters, gap
+        return alloc, len(trace.objective_values) - 1, trace.rounding.gap
     kind = BaselineKind(method)
     alloc = run_baseline(kind, cfg, users, servers, opts, sdr_cache=sdr_cache)
     return alloc, (1 if kind is BaselineKind.OPT_LATENCY else 0), 0.0

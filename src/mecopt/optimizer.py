@@ -1,23 +1,23 @@
 """Joint solver and comparison methods.
 
-Powers are set once by the closed form, then the assignment (relaxation plus
-randomized rounding, accepted only if it strictly lowers the objective) and
-the resolutions (every user's closed form in one pass) alternate until the
-objective stabilizes. The three reference methods share the same power rule
-so every comparison isolates the assignment/resolution choices. A caller
-that solves many methods or weights on one scenario passes a dict as
-sdr_cache, and an association pass that repeats across them runs once.
+Powers are set once by the closed form, then the assignment (load descent,
+from the relaxation's rounding at first, accepted only if it strictly lowers
+the objective) and the resolutions (every user's closed form in one pass)
+alternate until the objective stabilizes. The three reference methods share
+the same power rule so every comparison isolates the assignment/resolution
+choices. A caller that solves many methods or weights on one scenario passes
+a dict as sdr_cache, and an association pass that repeats across them runs once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .association import (QcqpInstance, RoundingReport, build_qcqp,
+from .association import (QcqpInstance, RoundingReport, build_qcqp, descend_association,
                           gaussian_randomize, solve_association_sdr)
 from .model import (Allocation, Association, ServerProfile, SystemConfig,
                     UserProfile, evaluate_allocation, total_objective)
@@ -50,22 +50,14 @@ class SolveOptions:
 
 @dataclass
 class SolveTrace:
-    """Per-outer-iteration record of a joint solve.
+    """Objective at the start and after each outer iteration, whether each
+    iteration adopted its candidate, and the one association pass. The
+    relaxation's iterate, N (K+1)^2 floats, is not kept: its x is None."""
 
-    sdp_iterations, sdp_status, sdp_primal_residual, sdp_dual_residual and
-    sdp_rho describe the relaxation each outer iteration used (its
-    SdpSolution's iteration count, status value, final residuals and final
-    rho).
-    """
-
-    objective_values: List[float] = field(default_factory=list)
-    association_accepted: List[bool] = field(default_factory=list)
-    sdr_gaps: List[float] = field(default_factory=list)
-    sdp_iterations: List[int] = field(default_factory=list)
-    sdp_status: List[str] = field(default_factory=list)
-    sdp_primal_residual: List[float] = field(default_factory=list)
-    sdp_dual_residual: List[float] = field(default_factory=list)
-    sdp_rho: List[float] = field(default_factory=list)
+    objective_values: List[float]
+    association_accepted: List[bool]
+    relaxation: SdpSolution
+    rounding: RoundingReport
 
 
 class BaselineKind(Enum):
@@ -83,22 +75,20 @@ def _derive_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence((base,) + tags).generate_state(1)[0])
 
 
-SdrCache = Dict[Tuple[bytes, bytes, SolveOptions, int], Tuple[SdpSolution, RoundingReport]]
+SdrCache = Dict[Tuple[bytes, bytes, SolveOptions], Tuple[SdpSolution, RoundingReport]]
 
 
-def _associate(inst: QcqpInstance, opts: SolveOptions, warm: Optional[SdpSolution],
-               tag: int, cache: Optional[SdrCache]) -> Tuple[SdpSolution, RoundingReport]:
-    """One association pass: the relaxation, resumed from warm when given,
-    then rounded with the seed derived from tag. The weights do not enter
-    the subproblem, so the FLOP vectors, opts and tag fix the pass, and a
-    hit in the caller-owned cache is returned as it is, whatever warm is."""
-    key = (inst.task_flops.tobytes(), inst.server_flops.tobytes(), opts, tag)
+def _associate(inst: QcqpInstance, opts: SolveOptions,
+               cache: Optional[SdrCache]) -> Tuple[SdpSolution, RoundingReport]:
+    """One association pass: the relaxation, then its rounding. The weights
+    do not enter the subproblem, so the FLOP vectors and opts fix the pass,
+    and a hit in the caller-owned cache is returned as it is."""
+    key = (inst.task_flops.tobytes(), inst.server_flops.tobytes(), opts)
     if cache is not None and key in cache:
         return cache[key]
-    sol = solve_association_sdr(
-        inst, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter, initial=warm).solution
+    sol = solve_association_sdr(inst, tol=opts.sdp_tol, max_iter=opts.sdp_max_iter).solution
     done = sol, gaussian_randomize(
-        inst, sol.x, opts.rand_samples_l, _derive_seed(opts.rng_seed, tag))
+        inst, sol.x, opts.rand_samples_l, _derive_seed(opts.rng_seed, 1))
     if cache is not None:
         cache[key] = done
     return done
@@ -114,49 +104,41 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
                 ) -> Tuple[Allocation, SolveTrace]:
     """Alternating solve of powers, assignment and resolutions.
 
-    The assignment candidate from each rounding pass is adopted only when it
-    strictly lowers the objective, and the resolution pass is an exact
-    argmin, so the recorded objective sequence never increases. Starts from
-    a round-robin assignment and the minimum resolution. Each relaxation
-    resumes the previous outer iteration's solution (iterate, scaled dual
-    and rho). Association passes (relaxation plus rounding) are looked up
-    in and added to sdr_cache when one is given.
+    Starts from a round-robin assignment and the minimum resolution. The
+    candidate association is descend_association from the association
+    pass's rounding (looked up in and added to sdr_cache when one is given)
+    at the first outer iteration and from the current assignment after it.
+    It is adopted only when it strictly lowers the objective, and the
+    resolution pass is an exact argmin, so the objective never increases.
     """
     powers = _prop1_powers(cfg, users)
     resolutions = np.full(len(users), float(cfg.s_min_px))
     assoc = round_robin_association(len(users), len(servers))
 
     f_prev = total_objective(cfg, users, servers, powers, resolutions, assoc)
-    trace = SolveTrace(objective_values=[f_prev])
-
-    sol: Optional[SdpSolution] = None
+    values, accepted = [f_prev], []
     for it in range(1, _MAX_OUTER_ITERS + 1):
         inst = build_qcqp(cfg, users, servers, resolutions)
-        sol, report = _associate(inst, opts, sol, it, sdr_cache)
-        trace.sdr_gaps.append(report.gap)
-        trace.sdp_iterations.append(sol.iterations)
-        trace.sdp_status.append(sol.status.value)
-        trace.sdp_primal_residual.append(sol.primal_residual)
-        trace.sdp_dual_residual.append(sol.dual_residual)
-        trace.sdp_rho.append(sol.rho)
-        accepted = total_objective(cfg, users, servers, powers, resolutions,
-                                   report.best_assoc) < f_prev
-        trace.association_accepted.append(accepted)
-        if accepted:
-            assoc = report.best_assoc
+        if it == 1:
+            sol, report = _associate(inst, opts, sdr_cache)
+        candidate = descend_association(inst, report.best_assoc if it == 1 else assoc)
+        accepted.append(total_objective(cfg, users, servers, powers, resolutions,
+                                        candidate) < f_prev)
+        if accepted[-1]:
+            assoc = candidate
 
         resolutions = optimal_resolution(cfg, users, servers, assoc)
         f_new = total_objective(cfg, users, servers, powers, resolutions, assoc)
-        trace.objective_values.append(f_new)
+        values.append(f_new)
         if abs(f_new - f_prev) <= _TOL_REL * abs(f_prev):
             break
         f_prev = f_new
 
-    return evaluate_allocation(cfg, users, servers, powers, resolutions, assoc), trace
+    return (evaluate_allocation(cfg, users, servers, powers, resolutions, assoc),
+            SolveTrace(values, accepted, replace(sol, x=None), report))
 
 
 _BASELINE_SEED_TAG = {
-    BaselineKind.OPT_LATENCY: 1,
     BaselineKind.OPT_EARNINGS: 100001,
     BaselineKind.RANDOM: 100002,
 }
@@ -168,29 +150,25 @@ def run_baseline(kind: BaselineKind, cfg: SystemConfig,
                  sdr_cache: Optional[SdrCache] = None) -> Allocation:
     """One of the three reference methods, with powers set by the closed form.
 
-    OPT_LATENCY pins the minimum resolution and runs one association pass
-    (relaxation plus rounding) for the assignment. Its seed tag is the joint
-    solver's first, so on a shared seed both start from the same assignment,
-    and through sdr_cache each serves the other's pass.
+    OPT_LATENCY pins the minimum resolution and takes the rounded
+    assignment of one association pass (relaxation plus rounding), the joint
+    solver's own first pass, so through sdr_cache each serves the other's.
     OPT_EARNINGS pins the maximum resolution with a uniform-random
     assignment; RANDOM draws both uniformly.
     """
     powers = _prop1_powers(cfg, users)
     k_total, n_total = len(users), len(servers)
-    tag = _BASELINE_SEED_TAG[kind]
 
     if kind is BaselineKind.OPT_LATENCY:
         resolutions = np.full(k_total, cfg.s_min_px)
         inst = build_qcqp(cfg, users, servers, resolutions)
-        assoc = _associate(inst, opts, None, tag, sdr_cache)[1].best_assoc
-    elif kind is BaselineKind.OPT_EARNINGS:
-        rng = np.random.default_rng(_derive_seed(opts.rng_seed, tag))
-        resolutions = np.full(k_total, cfg.s_max_px)
-        assoc = Association.from_server_indices(
-            rng.integers(0, n_total, size=k_total), n_total)
+        assoc = _associate(inst, opts, sdr_cache)[1].best_assoc
     else:
-        rng = np.random.default_rng(_derive_seed(opts.rng_seed, tag))
-        resolutions = rng.uniform(cfg.s_min_px, cfg.s_max_px, size=k_total)
+        rng = np.random.default_rng(_derive_seed(opts.rng_seed, _BASELINE_SEED_TAG[kind]))
+        if kind is BaselineKind.OPT_EARNINGS:
+            resolutions = np.full(k_total, cfg.s_max_px)
+        else:
+            resolutions = rng.uniform(cfg.s_min_px, cfg.s_max_px, size=k_total)
         assoc = Association.from_server_indices(
             rng.integers(0, n_total, size=k_total), n_total)
 

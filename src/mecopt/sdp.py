@@ -12,10 +12,7 @@ The caller passes the set as its projection, a plain function; x is always
 that function's output, so the stopping test checks only the two splitting
 residuals and the cone. The association relaxation passes its assignment
 polytope. An iteration costs one batched eigendecomposition, after which
-only the negative eigenpairs are subtracted, plus elementwise work. A solve
-warm-started from an earlier ``SdpSolution`` restores its whole splitting
-state (iterate, scaled dual and step parameter), so a neighbouring problem
-does not rebuild the dual.
+only the negative eigenpairs are subtracted, plus elementwise work.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -91,10 +88,8 @@ class SdpSolution:
     """Solver output. x is the set's iterate, the projection's output.
     primal_residual is the larger of its distance from the cone's iterate,
     relative to max(1, ||x||), and its most negative eigenvalue, relative
-    to ||x||; dual_residual tracks the cone iterate's movement. rho and u
-    are the step parameter and the scaled dual the solver stopped with;
-    passed back as solve_sdp's initial, the solution resumes the splitting
-    from x, u and rho."""
+    to ||x||; dual_residual tracks the cone iterate's movement. rho is the
+    step parameter the solver stopped with."""
 
     x: np.ndarray
     objective: float
@@ -103,7 +98,6 @@ class SdpSolution:
     iterations: int
     status: SdpStatus
     rho: float
-    u: np.ndarray
     residual_history: List[Tuple[int, float, float]] = field(default_factory=list, repr=False)
 
 
@@ -115,21 +109,18 @@ _RHO_COLD = 0.1  # where the rule settles from 10x4 to 100x20
 
 
 def solve_sdp(cost: np.ndarray, project: Callable[[np.ndarray], np.ndarray],
-              tol: float = 1e-6, max_iter: int = 20000,
-              initial: Optional[SdpSolution] = None) -> SdpSolution:
+              tol: float = 1e-6, max_iter: int = 20000) -> SdpSolution:
     """Minimize Tr(cost X) over the PSD matrices in the set that project
     maps onto: project(v) must return the set's nearest point to v.
 
     cost must be square and symmetric, or a stack of such blocks. Each
     iteration sets x to project(y - u - cost/rho), y to the projection of
     x + u onto the cone (one batched eigendecomposition, then the negative
-    eigenpairs are subtracted) and adds x - y to u. A cold start has
+    eigenpairs are subtracted) and adds x - y to u. It starts from
     y = u = 0 and rho = 0.1, where the rule below settles on the
-    association relaxations; a warm start from initial, an earlier solution
-    whose x has cost's shape, restarts from y = sym(initial.x),
-    u = initial.u and rho = initial.rho. rho adapts to balance the two
-    residuals, at most once per 50 of this solve's iterations during the
-    first half of max_iter; u is rescaled with it.
+    association relaxations. rho adapts to balance the two residuals, at
+    most once per 50 iterations during the first half of max_iter; u is
+    rescaled with it.
 
     The returned x is project's output, so it lies in the set up to the
     projection's roundoff, and the stopping test checks only what can fail:
@@ -150,21 +141,11 @@ def solve_sdp(cost: np.ndarray, project: Callable[[np.ndarray], np.ndarray],
     c_scale = float(np.linalg.norm(cost))
     cost_n = cost / c_scale if c_scale > 0 else cost
 
-    if initial is None:
-        y, u, rho = np.zeros(cost.shape), np.zeros(cost.shape), _RHO_COLD
-    else:
-        if initial.x.shape != cost.shape:
-            raise ValueError(f"initial iterate shape {initial.x.shape} != {cost.shape}")
-        y = 0.5 * (initial.x + initial.x.swapaxes(-1, -2))
-        u, rho = initial.u.copy(), initial.rho  # u is updated in place
-    x = y
+    y, u, rho = np.zeros(cost.shape), np.zeros(cost.shape), _RHO_COLD
     cost_step = cost_n / rho
 
     history: List[Tuple[int, float, float]] = []
     status = SdpStatus.ITERATION_CAP
-    prim_n = dual_n = eig_v = 0.0
-    den_x = 1.0
-    it = 0
 
     for it in range(1, max_iter + 1):
         y_prev = y
@@ -207,6 +188,5 @@ def solve_sdp(cost: np.ndarray, project: Callable[[np.ndarray], np.ndarray],
         iterations=it,
         status=status,
         rho=rho,
-        u=u,
         residual_history=history,
     )

@@ -304,9 +304,7 @@ def consensus_sdp(cost, sets, tol=1e-6, max_iter=20000):
         z = z_new
     return SdpSolution(x=z, objective=float((cost * z).sum()),
                        primal_residual=max(prim_n, feas), dual_residual=dual_n,
-                       iterations=it, status=status, rho=rho,
-                       # one scaled dual per copy, none of them solve_sdp's u
-                       u=np.zeros(cost.shape), residual_history=history)
+                       iterations=it, status=status, rho=rho, residual_history=history)
 
 
 class AffineStep:

@@ -6,10 +6,11 @@ import pytest
 
 from mecopt import association
 from mecopt.association import (InstanceTooLargeError, QcqpInstance, _project_assignment,
-                                association_objective, build_qcqp, exact_association,
-                                gaussian_randomize, solve_association_sdr)
+                                association_objective, build_qcqp, descend_association,
+                                exact_association, gaussian_randomize, solve_association_sdr)
 from mecopt.model import Association, ServerProfile, evaluate_allocation
-from mecopt.optimizer import BaselineKind, SolveOptions, run_baseline, solve_joint
+from mecopt.optimizer import (BaselineKind, SolveOptions, round_robin_association,
+                              run_baseline, solve_joint)
 from mecopt.sdp import SdpStatus
 from helpers import (AffineStep, MaskStep, batched_gaussian_randomize, brute_force_association,
                      consensus_sdp, dense_sdr_cost, generic_relaxation, make_cfg, make_user,
@@ -471,7 +472,7 @@ def test_solving_and_rounding_never_form_the_completion(monkeypatch):
     cfg, users, servers = small_scenario(78, 5, 3)
     opts = SolveOptions(rng_seed=2, rand_samples_l=200)
     alloc, trace = solve_joint(cfg, users, servers, opts)
-    assert len(trace.sdr_gaps) >= 1
+    assert trace.rounding.num_samples == 200
     run_baseline(BaselineKind.OPT_LATENCY, cfg, users, servers, opts)
     with pytest.raises(AssertionError, match="solve path"):
         solve_association_sdr(build_qcqp(cfg, users, servers, alloc.resolutions)).b_star
@@ -538,3 +539,30 @@ def test_exact_association_matches_enumeration(rng):
         _, best = brute_force_association(cfg, users, servers, res_px)
         assert obj == pytest.approx(best, rel=1e-12)
         assert obj == association_objective(inst, assoc)
+
+
+def test_descent_is_never_above_its_start(rng):
+    # One server included, and starts that leave servers empty, so moves out
+    # of an empty server and instances with no move at all both occur.
+    for seed in range(170, 230):
+        cfg, users, servers = small_scenario(seed, int(rng.integers(1, 13)),
+                                             int(rng.integers(1, 6)))
+        k, n = len(users), len(servers)
+        inst = build_qcqp(cfg, users, servers, rng.uniform(cfg.s_min_px, cfg.s_max_px, k))
+        _, best = exact_association(inst)
+        for start in (random_one_hot(rng, k, n),
+                      Association.from_server_indices(np.zeros(k, dtype=int), n),
+                      Association.from_server_indices(np.full(k, n - 1), n)):
+            got = association_objective(inst, descend_association(inst, start))
+            assert best - 1e-12 * best <= got <= association_objective(inst, start)
+
+
+def test_descent_from_round_robin_is_near_the_exact_optimum():
+    # Measured 1.0000, 1.0013 and 1.0003 times the optimum.
+    ratios = []
+    for seed in (7000, 7001, 7002):
+        cfg, users, servers = small_scenario(seed, 20, 5)
+        inst = build_qcqp(cfg, users, servers, np.full(len(users), cfg.s_min_px))
+        got = descend_association(inst, round_robin_association(len(users), len(servers)))
+        ratios.append(association_objective(inst, got) / exact_association(inst)[1])
+    assert np.mean(ratios) <= 1.005, ratios
