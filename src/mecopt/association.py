@@ -312,7 +312,7 @@ def gaussian_randomize(inst: QcqpInstance, x: np.ndarray,
     return RoundingReport(
         num_samples=num_samples,
         best_objective=float(best_objective),
-        best_assoc=Association.from_server_indices(best, inst.num_servers),
+        best_assoc=Association(best, inst.num_servers),
         sdr_lower_bound=bound,
         gap=(float(best_objective) - bound) / max(abs(bound), 1e-300),
     )
@@ -355,8 +355,7 @@ def descend_association(inst: QcqpInstance, start: Association) -> Association:
     by = np.argsort(loads / inst.server_flops, kind="stable")
     both = np.vstack([start.server_indices, np.empty(k_total, dtype=np.int64)])
     both[1, order] = np.repeat(by, loads[by])
-    return Association.from_server_indices(
-        both[int(np.argmin(_batch_objectives(inst, both)))], n_total)
+    return Association(both[int(np.argmin(_batch_objectives(inst, both)))], n_total)
 
 
 def exact_association(inst: QcqpInstance) -> Tuple[Association, float]:
@@ -391,5 +390,5 @@ def exact_association(inst: QcqpInstance) -> Tuple[Association, float]:
         n, i = divmod(int(step[subset, j]), k_total + 1)
         idx[order[i:j]] = n
         subset, j = subset ^ (1 << n), i
-    assoc = Association.from_server_indices(idx, n_total)
+    assoc = Association(idx, n_total)
     return assoc, association_objective(inst, assoc)

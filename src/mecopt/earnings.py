@@ -22,7 +22,6 @@ __all__ = [
     "EarnFamily",
     "EarnParams",
     "DEFAULT_PARAMS",
-    "NormalizedInput",
     "normalize_input",
     "eval_earning",
     "eval_earning_derivative",
@@ -80,29 +79,15 @@ DEFAULT_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class NormalizedInput:
-    """Combined quality input: half resolution share plus half bitrate share."""
-
-    x: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.x <= 1.0:
-            raise ValueError(f"normalized input outside [0, 1]: {self.x}")
-
-    def __float__(self) -> float:
-        return self.x
-
-
 def normalize_input(cfg: "SystemConfig", resolution_px: float,
-                    downlink_rate_bps: float) -> NormalizedInput:
+                    downlink_rate_bps: float) -> float:
     """Map (resolution, downlink rate) to [0, 1], each axis contributing [0, 0.5]."""
-    if resolution_px < 0 or resolution_px > cfg.res_norm_px:
+    if not 0 <= resolution_px <= cfg.res_norm_px:
         raise ValueError(f"resolution {resolution_px} outside [0, {cfg.res_norm_px}]")
-    if downlink_rate_bps < 0 or downlink_rate_bps > cfg.rate_norm_bps:
+    if not 0 <= downlink_rate_bps <= cfg.rate_norm_bps:
         raise ValueError(f"rate {downlink_rate_bps} outside [0, {cfg.rate_norm_bps}]")
     x = 0.5 * resolution_px / cfg.res_norm_px + 0.5 * downlink_rate_bps / cfg.rate_norm_bps
-    return NormalizedInput(min(float(x), 1.0))
+    return min(float(x), 1.0)
 
 
 def _h(params: EarnParams, x):

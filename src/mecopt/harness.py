@@ -121,10 +121,6 @@ def generate_scenario(spec: ScenarioSpec,
                for f in rng.uniform(*spec.compute_flops, size=spec.num_servers)]
 
     probe_cfg = _spec_config(spec)
-    if spec.downlink_rate_bps[1] > probe_cfg.rate_norm_bps:
-        raise ValueError(f"downlink rate {spec.downlink_rate_bps[1]} exceeds the earnings "
-                         f"normalizer rate_norm_bps {probe_cfg.rate_norm_bps}")
-
     users: List[UserProfile] = []
     dropped = 0
     resampled = 0
@@ -151,12 +147,17 @@ def generate_scenario(spec: ScenarioSpec,
 
 
 def _spec_config(spec: ScenarioSpec) -> SystemConfig:
-    """The SystemConfig of spec's counts and config_overrides."""
+    """The SystemConfig of spec's counts and config_overrides; ValueError if
+    spec's downlink rates can exceed the config's earnings normalizer."""
     unknown = set(spec.config_overrides) - {f.name for f in dataclasses.fields(SystemConfig)}
     if unknown:
         raise ValueError(f"unknown SystemConfig overrides: {sorted(unknown)}")
-    return SystemConfig(num_users=spec.num_users, num_servers=spec.num_servers,
-                        **spec.config_overrides)
+    cfg = SystemConfig(num_users=spec.num_users, num_servers=spec.num_servers,
+                       **spec.config_overrides)
+    if spec.downlink_rate_bps[1] > cfg.rate_norm_bps:
+        raise ValueError(f"downlink rate {spec.downlink_rate_bps[1]} exceeds the earnings "
+                         f"normalizer rate_norm_bps {cfg.rate_norm_bps}")
+    return cfg
 
 
 class SweepKind(Enum):
@@ -263,32 +264,21 @@ def run_sweep(kind: SweepKind, spec: ScenarioSpec, methods: Sequence[str],
                 try:
                     alloc, iters, gap = _solve_method(
                         method, cfg, users, servers, opts, sdr_cache)
-                    row = ResultRow(
-                        method=method,
-                        seed=scen_seed,
-                        omega=cfg.weight_omega,
-                        s_min_px=cfg.s_min_px,
-                        num_users=cfg.num_users,
-                        mean_latency_s=float(alloc.total_latency_s.mean()),
-                        mean_earnings_norm=float(alloc.per_user_earnings.sum() / norm),
-                        mean_utility=float(alloc.per_user_utility.mean()),
-                        iters=iters,
-                        sdr_gap=gap,
-                        wall_ms=(time.perf_counter() - start) * 1e3,
-                    )
+                    latency = float(alloc.total_latency_s.mean())
+                    earnings = float(alloc.per_user_earnings.sum() / norm)
+                    utility = float(alloc.per_user_utility.mean())
+                    status = "ok"
                 except Exception as exc:  # per-point failure, keep sweeping
                     log.warning("sweep point failed (%s, seed=%d, value=%g): %s",
                                 method, scen_seed, value, exc)
-                    row = ResultRow(
-                        method=method, seed=scen_seed, omega=cfg.weight_omega,
-                        s_min_px=cfg.s_min_px, num_users=cfg.num_users,
-                        mean_latency_s=float("nan"),
-                        mean_earnings_norm=float("nan"),
-                        mean_utility=float("nan"), iters=0, sdr_gap=float("nan"),
-                        wall_ms=(time.perf_counter() - start) * 1e3,
-                        status=f"error:{type(exc).__name__}",
-                    )
-                rows.append(row)
+                    latency = earnings = utility = gap = float("nan")
+                    iters, status = 0, f"error:{type(exc).__name__}"
+                rows.append(ResultRow(
+                    method=method, seed=scen_seed, omega=cfg.weight_omega,
+                    s_min_px=cfg.s_min_px, num_users=cfg.num_users,
+                    mean_latency_s=latency, mean_earnings_norm=earnings,
+                    mean_utility=utility, iters=iters, sdr_gap=gap,
+                    wall_ms=(time.perf_counter() - start) * 1e3, status=status))
     return rows
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +24,6 @@ __all__ = [
     "ServerProfile",
     "Association",
     "Allocation",
-    "AssociationError",
-    "AssociationViolation",
     "ZeroRateError",
     "dbm_per_hz_to_w_per_hz",
     "uplink_rate",
@@ -34,7 +32,6 @@ __all__ = [
     "user_task_flops",
     "user_earnings",
     "total_objective",
-    "validate_association",
     "evaluate_allocation",
     "snap_resolution",
     "RESOLUTION_TIERS",
@@ -137,79 +134,42 @@ class ServerProfile:
 
 
 @dataclass(frozen=True)
-class AssociationViolation:
-    row: int
-    defect: str
-
-
-class AssociationError(ValueError):
-    def __init__(self, violations: Sequence[AssociationViolation]):
-        self.violations = list(violations)
-        detail = "; ".join(f"row {v.row}: {v.defect}" for v in self.violations)
-        super().__init__(f"invalid association matrix: {detail}")
-
-
-def validate_association(assign: np.ndarray) -> List[AssociationViolation]:
-    """Check a K x N matrix for binary entries and one-hot rows.
-
-    Returns an empty list when valid, otherwise one violation per bad row.
-    """
-    a = np.asarray(assign)
-    if a.ndim != 2:
-        return [AssociationViolation(-1, f"expected a 2-D matrix, got ndim={a.ndim}")]
-    out: List[AssociationViolation] = []
-    for k in range(a.shape[0]):
-        row = a[k]
-        if not np.all((row == 0) | (row == 1)):
-            out.append(AssociationViolation(k, "non-binary entry"))
-            continue
-        total = int(row.sum())
-        if total != 1:
-            out.append(AssociationViolation(k, f"row-sum {total} != 1"))
-    return out
-
-
-@dataclass(frozen=True)
 class Association:
-    """One-hot user-to-server assignment matrix."""
+    """User-to-server assignment: user k is on server server_indices[k].
 
-    assign: np.ndarray
+    The paper's one-hot K x N matrix is the assign property, built on each
+    read; the solvers work on the index vector.
+    """
+
+    server_indices: np.ndarray
+    num_servers: int
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.assign, dtype=np.int64)
-        violations = validate_association(a)
-        if violations:
-            raise AssociationError(violations)
-        a.setflags(write=False)
-        object.__setattr__(self, "assign", a)
-
-    @classmethod
-    def from_server_indices(cls, indices: Sequence[int], num_servers: int) -> "Association":
-        """User k on server indices[k], each an integer in [0, num_servers)."""
-        idx = np.asarray(indices)
+        n = self.num_servers
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"num_servers must be an integer >= 1, got {n!r}")
+        idx = np.asarray(self.server_indices)
         if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer) \
-                or np.any((idx < 0) | (idx >= num_servers)):
-            raise ValueError(f"server indices must be a 1-D integer array in [0, {num_servers})")
-        a = np.zeros((idx.size, num_servers), dtype=np.int64)
-        a[np.arange(idx.size), idx] = 1
-        return cls(a)
+                or np.any((idx < 0) | (idx >= n)):
+            raise ValueError(f"server indices must be a 1-D integer array in [0, {n})")
+        idx = idx.astype(np.int64)
+        idx.setflags(write=False)
+        object.__setattr__(self, "server_indices", idx)
+        object.__setattr__(self, "num_servers", int(n))
 
     @property
     def num_users(self) -> int:
-        return self.assign.shape[0]
+        return self.server_indices.size
 
     @property
-    def num_servers(self) -> int:
-        return self.assign.shape[1]
-
-    @property
-    def server_indices(self) -> np.ndarray:
-        return np.argmax(self.assign, axis=1)
+    def assign(self) -> np.ndarray:
+        """The one-hot K x N int64 matrix, built on each read."""
+        return np.eye(self.num_servers, dtype=np.int64)[self.server_indices]
 
     @property
     def loads(self) -> np.ndarray:
         """Number of users attached to each server."""
-        return self.assign.sum(axis=0)
+        return np.bincount(self.server_indices, minlength=self.num_servers)
 
 
 def uplink_rate(cfg: SystemConfig, user: UserProfile, power_w: float) -> float:
@@ -320,8 +280,9 @@ def evaluate_allocation(cfg: SystemConfig, users: Sequence[UserProfile],
     resolutions = np.asarray(resolutions, dtype=float)
     if powers.shape != (k_total,) or resolutions.shape != (k_total,):
         raise ValueError("powers/resolutions must have one entry per user")
-    if association.assign.shape != (k_total, len(servers)):
-        raise ValueError(f"association has shape {association.assign.shape}, "
+    shape = (association.num_users, association.num_servers)
+    if shape != (k_total, len(servers)):
+        raise ValueError(f"association has shape {shape}, "
                          f"expected ({k_total}, {len(servers)})")
     slack = 1e-9
     zero = np.flatnonzero(powers <= 0)
@@ -344,7 +305,7 @@ def evaluate_allocation(cfg: SystemConfig, users: Sequence[UserProfile],
     idx = association.server_indices
     flops = np.array([s.compute_flops for s in servers], dtype=float)
     l_proc = user_task_flops(cfg, users, resolutions) \
-        * np.bincount(idx, minlength=len(servers))[idx] / flops[idx]
+        * association.loads[idx] / flops[idx]
     earn = user_earnings(cfg, users, resolutions)
     utility = cfg.eta_earn * earn \
         - cfg.eta_lat * cfg.weight_omega * (l_up + l_down + l_proc)

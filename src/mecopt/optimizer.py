@@ -67,8 +67,7 @@ class BaselineKind(Enum):
 
 
 def round_robin_association(num_users: int, num_servers: int) -> Association:
-    return Association.from_server_indices(
-        np.arange(num_users) % num_servers, num_servers)
+    return Association(np.arange(num_users) % num_servers, num_servers)
 
 
 def _derive_seed(base: int, *tags: int) -> int:
@@ -169,7 +168,6 @@ def run_baseline(kind: BaselineKind, cfg: SystemConfig,
             resolutions = np.full(k_total, cfg.s_max_px)
         else:
             resolutions = rng.uniform(cfg.s_min_px, cfg.s_max_px, size=k_total)
-        assoc = Association.from_server_indices(
-            rng.integers(0, n_total, size=k_total), n_total)
+        assoc = Association(rng.integers(0, n_total, size=k_total), n_total)
 
     return evaluate_allocation(cfg, users, servers, powers, resolutions, assoc)

@@ -30,8 +30,9 @@ def optimal_resolution(cfg: SystemConfig, users: Sequence[UserProfile],
     latency of one more pixel: its downlink bits over the downlink rate plus
     their FLOPs times the server's user count over its compute rate.
     """
-    if association.assign.shape != (len(users), len(servers)):
-        raise ValueError(f"association has shape {association.assign.shape}, "
+    shape = (association.num_users, association.num_servers)
+    if shape != (len(users), len(servers)):
+        raise ValueError(f"association has shape {shape}, "
                          f"expected ({len(users)}, {len(servers)})")
     idx = association.server_indices
     flops = np.array([s.compute_flops for s in servers], dtype=float)

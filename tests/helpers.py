@@ -67,7 +67,7 @@ def nested_brute_force(cfg, users, servers, powers):
     n_total = len(servers)
     best = (np.inf, None, None)
     for combo in itertools.product(range(n_total), repeat=len(users)):
-        assoc = Association.from_server_indices(np.array(combo), n_total)
+        assoc = Association(np.array(combo), n_total)
         s = optimal_resolution(cfg, users, servers, assoc)
         f = total_objective(cfg, users, servers, powers, s, assoc)
         if f < best[0]:
@@ -102,7 +102,7 @@ def brute_force_association(cfg, users, servers, resolutions) -> Tuple[Associati
             best_obj = float(objs[i])
             best_idx = idx[i]
     assert best_idx is not None
-    return Association.from_server_indices(best_idx, n_total), best_obj
+    return Association(best_idx, n_total), best_obj
 
 
 def joint_oracle(cfg, users, servers, powers):
@@ -146,7 +146,7 @@ def joint_oracle(cfg, users, servers, powers):
         if total < best[0]:
             best = (total, slot_server[cols])
     idx = best[1]
-    assoc = Association.from_server_indices(idx, n_total)
+    assoc = Association(idx, n_total)
     s = res[np.arange(k_total), idx, assoc.loads[idx] - 1]
     return total_objective(cfg, users, servers, powers, s, assoc), assoc, s
 
@@ -161,8 +161,7 @@ def spearman(xs, ys) -> float:
 
 
 def random_one_hot(rng, num_users, num_servers) -> Association:
-    return Association.from_server_indices(
-        rng.integers(0, num_servers, size=num_users), num_servers)
+    return Association(rng.integers(0, num_servers, size=num_users), num_servers)
 
 
 def batched_gaussian_randomize(inst, x, num_samples, rng_seed) -> RoundingReport:
@@ -186,7 +185,7 @@ def batched_gaussian_randomize(inst, x, num_samples, rng_seed) -> RoundingReport
     return RoundingReport(
         num_samples=num_samples,
         best_objective=float(objs[best]),
-        best_assoc=Association.from_server_indices(all_idx[best], inst.num_servers),
+        best_assoc=Association(all_idx[best], inst.num_servers),
         sdr_lower_bound=bound,
         gap=(float(objs[best]) - bound) / max(abs(bound), 1e-300),
     )

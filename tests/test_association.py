@@ -38,7 +38,7 @@ def test_quadratic_form_equals_double_sum(rng):
     res = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
     inst = build_qcqp(cfg, users, servers, res)
     for combo in ([0, 0], [0, 1], [1, 0], [1, 1]):
-        assoc = Association.from_server_indices(combo, 2)
+        assoc = Association(combo, 2)
         a = _binary_vector(assoc)
         quad = a @ inst.p_matrix @ a
         # direct double sum over users and servers
@@ -551,8 +551,8 @@ def test_descent_is_never_above_its_start(rng):
         inst = build_qcqp(cfg, users, servers, rng.uniform(cfg.s_min_px, cfg.s_max_px, k))
         _, best = exact_association(inst)
         for start in (random_one_hot(rng, k, n),
-                      Association.from_server_indices(np.zeros(k, dtype=int), n),
-                      Association.from_server_indices(np.full(k, n - 1), n)):
+                      Association(np.zeros(k, dtype=int), n),
+                      Association(np.full(k, n - 1), n)):
             got = association_objective(inst, descend_association(inst, start))
             assert best - 1e-12 * best <= got <= association_objective(inst, start)
 

@@ -114,11 +114,13 @@ _SMALL_SWEEP = ["sweep", "--kind", "omega", "--methods", "random", "--grid", "1.
     (_SMALL_SWEEP + ["--seeds", "1", "--config", "omega.cfg"], "weight_omega"),
     (["oracle-compare", "--config", "omega.cfg"], "weight_omega"),
     (_SMALL_SWEEP[:-4] + ["--seeds", "1", "--config", "users.cfg"], "num_users"),
+    (["run", "--config", "rate.cfg", "--users", "2", "--servers", "2"], "rate_norm_bps"),
 ])
 def test_bad_counts_are_rejected_at_parse_time(args, flag, tmp_path, capsys):
     # config files whose settings the model rejects
     (tmp_path / "omega.cfg").write_text("weight_omega = -1\n")
     (tmp_path / "users.cfg").write_text("num_users = 0\n")
+    (tmp_path / "rate.cfg").write_text("downlink_rate_bps = 1e6, 1e12\n")
     args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
     out = tmp_path / "s.csv"
     with pytest.raises(SystemExit) as exc:

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, eval_earning, normalize_input
-from mecopt.model import (Association, AssociationError, ServerProfile,
-                          SystemConfig, ZeroRateError, downlink_bits,
-                          evaluate_allocation, snap_resolution,
-                          total_objective, transmit_energy, uplink_rate,
-                          validate_association)
+from mecopt.model import (Association, ServerProfile, SystemConfig,
+                          ZeroRateError, downlink_bits, evaluate_allocation,
+                          snap_resolution, total_objective, transmit_energy,
+                          uplink_rate)
 from mecopt.optimizer import SolveOptions, solve_joint
 from helpers import make_cfg, make_user, random_one_hot, small_scenario
 
@@ -64,7 +63,7 @@ def test_compute_latency_single_user_one_gigaflop():
     user = make_user(uplink_bits=1e5, compression_ratio=480.0,
                      lambda_down_flop_per_bit=5e3)
     servers = [ServerProfile(1e12)]
-    assoc = Association.from_server_indices([0], 1)
+    assoc = Association([0], 1)
     alloc = evaluate_allocation(cfg, [user], servers, [0.1], [1e6], assoc)
     assert alloc.latency_proc_s[0] == pytest.approx(1e-3, rel=1e-12)
 
@@ -73,8 +72,8 @@ def test_compute_latency_doubles_when_sharing():
     cfg = make_cfg(num_users=2, num_servers=2)
     users = [make_user(), make_user()]
     servers = [ServerProfile(2e12), ServerProfile(3e12)]
-    alone = Association.from_server_indices([0, 1], 2)
-    shared = Association.from_server_indices([0, 0], 2)
+    alone = Association([0, 1], 2)
+    shared = Association([0, 0], 2)
     powers, res = [0.1, 0.1], [2e6, 2e6]
     l_alone = evaluate_allocation(cfg, users, servers, powers, res, alone).latency_proc_s[0]
     l_shared = evaluate_allocation(cfg, users, servers, powers, res, shared).latency_proc_s[0]
@@ -85,7 +84,7 @@ def test_downlink_latency_linear_in_resolution():
     cfg = make_cfg(num_users=1, num_servers=1)
     user = make_user()
     servers = [ServerProfile(1e12)]
-    assoc = Association.from_server_indices([0], 1)
+    assoc = Association([0], 1)
     s = 3e6
     l1 = evaluate_allocation(cfg, [user], servers, [0.1], [s], assoc).latency_down_s[0]
     l2 = evaluate_allocation(cfg, [user], servers, [0.1], [2 * s], assoc).latency_down_s[0]
@@ -101,7 +100,7 @@ def test_latency_matches_independent_formula_evaluation(rng):
                        lambda_down_flop_per_bit=rng.uniform(1e5, 9e5))
              for _ in range(3)]
     servers = [ServerProfile(rng.uniform(1e12, 5e12)) for _ in range(2)]
-    assoc = Association.from_server_indices([0, 1, 0], 2)
+    assoc = Association([0, 1, 0], 2)
     powers = rng.uniform(0.01, 0.2, 3)
     res = rng.uniform(cfg.s_min_px, cfg.s_max_px, 3)
     counts = [2, 1]
@@ -123,7 +122,7 @@ def test_latency_matches_independent_formula_evaluation(rng):
 
 def test_latency_requires_positive_power():
     cfg = make_cfg(num_users=1, num_servers=1)
-    assoc = Association.from_server_indices([0], 1)
+    assoc = Association([0], 1)
     with pytest.raises(ZeroRateError):
         evaluate_allocation(cfg, [make_user()], [ServerProfile(1e12)],
                             [0.0], [1e6], assoc)
@@ -161,7 +160,7 @@ def _tiny_instance(rng, eta_earn=1.0, omega=1.0):
                    weight_omega=omega)
     users = [make_user(channel_gain=1e-9), make_user(channel_gain=2e-9)]
     servers = [ServerProfile(1e12), ServerProfile(2e12)]
-    assoc = Association.from_server_indices([0, 1], 2)
+    assoc = Association([0, 1], 2)
     powers = rng.uniform(0.05, 0.2, 2)
     res = rng.uniform(cfg.s_min_px, cfg.s_max_px, 2)
     return cfg, users, servers, powers, res, assoc
@@ -200,14 +199,14 @@ def test_utility_equals_earnings_minus_latency_terms(rng):
 def test_total_objective_single_user_and_additivity(rng):
     cfg = make_cfg(num_users=1, num_servers=1)
     user, server = make_user(), ServerProfile(1e12)
-    assoc1 = Association.from_server_indices([0], 1)
+    assoc1 = Association([0], 1)
     f1 = total_objective(cfg, [user], [server], [0.1], [2e6], assoc1)
     assert f1 == pytest.approx(-evaluate_allocation(
         cfg, [user], [server], [0.1], [2e6], assoc1).per_user_utility[0], rel=1e-12)
 
     # duplicating the user onto its own identical server doubles the objective
     cfg2 = make_cfg(num_users=2, num_servers=2)
-    assoc2 = Association.from_server_indices([0, 1], 2)
+    assoc2 = Association([0, 1], 2)
     f2 = total_objective(cfg2, [user, user], [server, server],
                          [0.1, 0.1], [2e6, 2e6], assoc2)
     # per-user bandwidth share halves, so recompute the single-user value
@@ -223,23 +222,14 @@ def test_total_objective_is_sum_of_utilities(rng):
     assert total == pytest.approx(-parts.sum(), rel=1e-12)
 
 
-def test_validate_association_cases():
-    assert validate_association(np.eye(3, 2, dtype=int)[:2]) == []
-    bad_zero = np.array([[1, 0], [0, 0]])
-    report = validate_association(bad_zero)
-    assert len(report) == 1 and report[0].row == 1 and "row-sum 0" in report[0].defect
-    bad_frac = np.array([[0.5, 0.5], [1, 0]])
-    report = validate_association(bad_frac)
-    assert report[0].row == 0 and report[0].defect == "non-binary entry"
-    with pytest.raises(AssociationError):
-        Association(bad_zero)
-
-
 def test_server_indices_outside_the_servers_are_rejected():
     # numpy indexing would read -1 as the last server and cast 0.7 to 0
     for indices in ([0, -1], [0, 0.7], [0, 3], [[0, 1]]):
         with pytest.raises(ValueError, match="server indices"):
-            Association.from_server_indices(indices, 3)
+            Association(indices, 3)
+    for n in (0, 2.5):
+        with pytest.raises(ValueError, match="num_servers"):
+            Association([0, 0], n)
 
 
 @settings(max_examples=50, deadline=None)
@@ -247,8 +237,11 @@ def test_server_indices_outside_the_servers_are_rejected():
 def test_one_hot_constructions_always_validate(k, n, seed):
     rng = np.random.default_rng(seed)
     assoc = random_one_hot(rng, k, n)
-    assert validate_association(assoc.assign) == []
-    assert assoc.loads.sum() == k
+    a = assoc.assign
+    assert a.shape == (k, n) and np.all((a == 0) | (a == 1)) and np.all(a.sum(axis=1) == 1)
+    assert np.array_equal(np.argmax(a, axis=1), assoc.server_indices)
+    assert np.array_equal(assoc.loads, a.sum(axis=0))
+    assert assoc.server_indices.dtype == np.int64 and not assoc.server_indices.flags.writeable
 
 
 def test_allocation_objective_consistent_with_utilities(rng):
@@ -275,15 +268,15 @@ def test_allocation_rejects_association_of_wrong_shape():
     cfg, users, servers = small_scenario(5, 4, 2)
     powers = np.full(4, 0.1)
     res = np.full(4, cfg.s_min_px)
-    assoc = Association.from_server_indices([0, 1, 0, 1], 2)
+    assoc = Association([0, 1, 0, 1], 2)
     evaluate_allocation(cfg, users, servers, powers, res, assoc)
     for indices, n in (([0, 1, 0, 1, 0], 2), ([0, 1], 2), ([0, 1, 0, 1], 3)):
         with pytest.raises(ValueError, match="association has shape"):
             evaluate_allocation(cfg, users, servers, powers, res,
-                                Association.from_server_indices(indices, n))
+                                Association(indices, n))
         with pytest.raises(ValueError, match="association has shape"):
             total_objective(cfg, users, servers, powers, res,
-                            Association.from_server_indices(indices, n))
+                            Association(indices, n))
 
 
 def test_allocation_rejects_user_count_other_than_config():
@@ -292,7 +285,7 @@ def test_allocation_rejects_user_count_other_than_config():
     with pytest.raises(ValueError, match="3 users given for a config of 4"):
         evaluate_allocation(cfg, users, servers, np.full(3, 0.1),
                             np.full(3, cfg.s_min_px),
-                            Association.from_server_indices([0, 1, 0], 2))
+                            Association([0, 1, 0], 2))
     with pytest.raises(ValueError, match="3 users given for a config of 4"):
         solve_joint(cfg, users, servers, SolveOptions())
 

@@ -26,7 +26,7 @@ def test_single_user_single_server_terminates_quickly():
     assert len(trace.objective_values) - 1 <= 2
 
     p_star = optimal_power(cfg, users[0]).p_star
-    assoc = Association.from_server_indices([0], 1)
+    assoc = Association([0], 1)
     s_star = optimal_resolution(cfg, users, servers, assoc)
     assert alloc.powers[0] == p_star
     assert alloc.resolutions == pytest.approx(s_star, rel=1e-12)
@@ -43,6 +43,22 @@ def test_trace_is_deterministic():
     assert t1.association_accepted == t2.association_accepted
     assert np.array_equal(a1.association.assign, a2.association.assign)
     assert np.array_equal(a1.resolutions, a2.resolutions)
+
+
+def test_solve_path_never_builds_the_one_hot_matrix(monkeypatch):
+    # The solvers work on server-index vectors; the K x N matrix is for readers.
+    def refuse(self):
+        raise AssertionError("the solve path read Association.assign")
+
+    monkeypatch.setattr(Association, "assign", property(refuse))
+    cfg, users, servers = small_scenario(61, 6, 3)
+    opts = SolveOptions(rng_seed=1, rand_samples_l=100, **FAST)
+    solve_joint(cfg, users, servers, opts)
+    for kind in BaselineKind:
+        run_baseline(kind, cfg, users, servers, opts)
+    rows = run_sweep(SweepKind.OMEGA, ScenarioSpec(seed=61, num_users=6, num_servers=3),
+                     METHODS, [1.0], num_seeds=1, rand_samples=100, **FAST)
+    assert [r.status for r in rows] == ["ok"] * len(METHODS)
 
 
 def test_trace_records_sdp_iteration_cap():

@@ -44,7 +44,7 @@ def test_no_single_user_move_lowers_the_objective(seed):
                                             (dict(eta_lat=1e-300), "s_max_px")])
 def test_vanishing_weights_drive_every_user_to_a_bound(weights, bound):
     cfg, users, servers = _mixed_scenario(55, 6, 2, **weights)
-    assoc = Association.from_server_indices([0, 1, 0, 1, 0, 0], 2)
+    assoc = Association([0, 1, 0, 1, 0, 0], 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = optimal_resolution(cfg, users, servers, assoc)
@@ -55,19 +55,19 @@ def test_per_user_solves_commute():
     # A user's resolution follows from its own data and its server's load, so
     # reordering the users reorders the resolutions and nothing else.
     cfg, users, servers = _mixed_scenario(51, 6, 2)
-    assoc = Association.from_server_indices([0, 1, 0, 1, 1, 0], 2)
+    assoc = Association([0, 1, 0, 1, 1, 0], 2)
     s = optimal_resolution(cfg, users, servers, assoc)
     perm = np.random.default_rng(51).permutation(6)
     moved = optimal_resolution(cfg, [users[k] for k in perm], servers,
-                               Association(assoc.assign[perm]))
+                               Association(assoc.server_indices[perm], 2))
     assert moved == pytest.approx(s[perm], rel=1e-14)
     assert not np.array_equal(s, s[perm])
 
 
 def test_mismatched_association_is_rejected():
     cfg, users, servers = small_scenario(56, 4, 2)
-    for assoc in (Association.from_server_indices([0, 1, 0], 2),
-                  Association.from_server_indices([0, 1, 0, 2], 3)):
+    for assoc in (Association([0, 1, 0], 2),
+                  Association([0, 1, 0, 2], 3)):
         with pytest.raises(ValueError, match="association has shape"):
             optimal_resolution(cfg, users, servers, assoc)
 
