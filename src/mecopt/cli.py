@@ -5,9 +5,9 @@ writes experiment CSVs, ``oracle-compare`` scores the relaxation pipeline
 against the exact association DP (up to about 40x8), and ``fit-earnings`` fits
 an earning family to a sample file (one ``x,score`` pair per line).
 
-Configuration precedence: built-in defaults < config file (flat
-``key = value`` lines) < command-line flags; the MECOPT_SEED environment
-variable overrides the seed from anywhere.
+Configuration precedence: built-in defaults < config file (flat ``key = value``
+lines of ScenarioSpec and SystemConfig fields) < command-line flags; the
+MECOPT_SEED environment variable, an integer, overrides the seed from anywhere.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import dataclasses
 import logging
 import math
 import os
-import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,13 +26,8 @@ from .association import build_qcqp, exact_association, gaussian_randomize, solv
 from .earnings import EarnFamily, fit_params
 from .harness import (ScenarioSpec, SweepKind, check_grid, emit_results, generate_scenario,
                       run_sweep)
-from .model import snap_resolution
+from .model import SystemConfig, snap_resolution
 from .optimizer import SolveOptions
-
-_RANGE_FIELDS = ("compute_flops", "compression", "downlink_rate_bps",
-                 "flop_per_px", "tau", "uplink_bits", "energy_budget_j")
-_INT_FIELDS = ("seed", "num_users", "num_servers")
-_SCALAR_FIELDS = ("cell_radius_km", "min_distance_km", "power_cap_w")
 
 DEFAULT_GRIDS = {
     SweepKind.OMEGA: [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0],
@@ -43,34 +37,37 @@ DEFAULT_GRIDS = {
 }
 
 
-def parse_config_file(path: str) -> Dict[str, object]:
-    """Parse flat key = value lines into ScenarioSpec construction kwargs."""
-    from .model import SystemConfig
-
-    cfg_fields = {f.name for f in dataclasses.fields(SystemConfig)}
-    out: Dict[str, object] = {}
-    overrides: Dict[str, float] = {}
+def _data_lines(path: str) -> Iterator[Tuple[int, str]]:
+    """(line number, text) of each line of path, comments and blanks dropped."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in _RANGE_FIELDS:
-                parts = [float(v) for v in value.split(",")]
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: range {key} needs 'lo, hi'")
-                out[key] = (parts[0], parts[1])
-            elif key in _INT_FIELDS:
-                out[key] = int(value)
-            elif key in _SCALAR_FIELDS:
-                out[key] = float(value)
-            elif key in cfg_fields:
-                overrides[key] = float(value)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if line:
+                yield lineno, line
+
+
+def parse_config_file(path: str) -> Dict[str, object]:
+    """Parse flat key = value lines into ScenarioSpec construction kwargs;
+    a SystemConfig field name goes into config_overrides."""
+    spec_types = {f.name: f.type for f in dataclasses.fields(ScenarioSpec)}
+    cfg_fields = {f.name for f in dataclasses.fields(SystemConfig)}
+    out: Dict[str, object] = {}
+    overrides: Dict[str, float] = {}
+    for lineno, line in _data_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in harness._RANGE_FIELDS:
+            parts = [float(v) for v in value.split(",")]
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: range {key} needs 'lo, hi'")
+            out[key] = (parts[0], parts[1])
+        elif spec_types.get(key) in ("int", "float"):
+            out[key] = int(value) if spec_types[key] == "int" else float(value)
+        elif key in cfg_fields:
+            overrides[key] = float(value)
+        else:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     if overrides:
         out["config_overrides"] = overrides
     return out
@@ -127,12 +124,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = build_spec(args)
     kind = SweepKind(args.kind)
     grid = args.grid or DEFAULT_GRIDS[kind]
-    methods = args.methods.split(",")
-    if args.large:
-        spec = dataclasses.replace(spec, num_users=100, num_servers=20)
-        print(f"warning: full-scale sweep of {args.seeds * len(grid) * len(methods)} solves; "
-              "one 100x20 `mecopt run`: 2.3-3.2 s and 60 MB peak RSS on 2 vCPUs", file=sys.stderr)
-    rows = run_sweep(kind, spec, methods, grid, num_seeds=args.seeds,
+    rows = run_sweep(kind, spec, args.methods.split(","), grid, num_seeds=args.seeds,
                      rand_samples=args.samples, sdp_tol=args.sdp_tol)
     emit_results(rows, args.out, include_timings=args.timings)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -176,15 +168,11 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
 
 def _cmd_fit_earnings(args: argparse.Namespace) -> int:
     samples = []
-    with open(args.samples, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{args.samples}:{lineno}: expected 'x,score'")
-            samples.append((float(parts[0]), float(parts[1])))
+    for lineno, line in _data_lines(args.samples):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{args.samples}:{lineno}: expected 'x,score'")
+        samples.append((float(parts[0]), float(parts[1])))
     result = fit_params(samples, EarnFamily(args.family))
     print(f"family={args.family} alpha={result.params.alpha:.9g} "
           f"beta={result.params.beta:.9g} sse={result.sse:.6g} "
@@ -223,9 +211,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_sweep.add_argument("--sdp-tol", type=float, default=SolveOptions.sdp_tol)
     p_sweep.add_argument("--timings", action="store_true",
                          help="write measured wall times (breaks byte determinism)")
-    p_sweep.add_argument("--large", action="store_true",
-                         help="full-scale counts (100 users, 20 servers); one solve "
-                         "took 2.3-3.2 s and 60 MB peak RSS on 2 vCPUs")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle-compare", help="relaxation vs the exact association DP")
@@ -243,18 +228,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_fit.set_defaults(func=_cmd_fit_earnings)
 
     args = parser.parse_args(argv)
-    solving = {"run": p_run, "sweep": p_sweep, "oracle-compare": p_oracle}
-    if args.command in solving and args.samples < 0:
-        solving[args.command].error("--samples must be nonnegative")
-    for flag in ("users", "servers"):
-        count = getattr(args, flag, None)
-        if args.command in solving and count is not None and count < 1:
-            solving[args.command].error(f"--{flag} must be at least 1")
-    if args.command in solving and args.config:
+    solving = {"run": p_run, "sweep": p_sweep, "oracle-compare": p_oracle}.get(args.command)
+    if solving is not None:
+        if args.samples < 0:
+            solving.error("--samples must be nonnegative")
+        for flag in ("users", "servers"):
+            if getattr(args, flag) is not None and getattr(args, flag) < 1:
+                solving.error(f"--{flag} must be at least 1")
         try:
-            harness._spec_config(build_spec(args))
-        except (OSError, ValueError) as exc:
-            solving[args.command].error(f"--config {args.config}: {exc}")
+            int(os.environ.get("MECOPT_SEED", 0))
+        except ValueError:
+            solving.error(f"MECOPT_SEED must be an integer, got {os.environ['MECOPT_SEED']!r}")
+        if args.config:
+            try:
+                harness._spec_config(build_spec(args))
+            except (OSError, ValueError) as exc:
+                solving.error(f"--config {args.config}: {exc}")
     if args.command == "run" and args.omega is not None \
             and not (math.isfinite(args.omega) and args.omega > 0):
         p_run.error("--omega must be finite and positive")
@@ -265,13 +254,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "sweep" and not set(args.methods.split(",")) <= set(harness.METHODS):
         p_sweep.error(f"--methods entries must be among {','.join(harness.METHODS)}")
     if args.command == "sweep":
-        kind, spec = SweepKind(args.kind), build_spec(args)
+        kind = SweepKind(args.kind)
         try:
-            check_grid(kind, spec, args.grid or DEFAULT_GRIDS[kind])
+            check_grid(kind, build_spec(args), args.grid or DEFAULT_GRIDS[kind])
         except ValueError as exc:
             p_sweep.error(f"--grid: {exc}")
     if args.command == "oracle-compare" and min(args.max_users, args.max_servers) < 2:
         p_oracle.error("--max-users and --max-servers must be at least 2")
+    if args.command == "oracle-compare" and args.instances < 1:
+        p_oracle.error("--instances must be at least 1")
     return args.func(args)
 
 

@@ -39,12 +39,9 @@ __all__ = [
 
 log = logging.getLogger("mecopt")
 
-METHODS = ("proposed", "optlat", "optearn", "random")
+METHODS = ("proposed",) + tuple(k.value for k in BaselineKind)
 
-CSV_HEADER = ("method,seed,omega,s_min_px,num_users,mean_latency_s,"
-              "mean_earnings_norm,mean_utility,iters,sdr_gap,wall_ms,status")
-
-_FAMILY_ORDER = (EarnFamily.POW, EarnFamily.LOG, EarnFamily.EXP)
+_FAMILY_ORDER = tuple(EarnFamily)
 _RESAMPLE_CAP = 100
 
 
@@ -72,13 +69,17 @@ class ScenarioSpec:
             raise ValueError("num_users and num_servers must be at least 1")
         if not 0 < self.min_distance_km < self.cell_radius_km:
             raise ValueError("distances must satisfy 0 < min < radius")
-        for name in ("compute_flops", "compression", "downlink_rate_bps",
-                     "flop_per_px", "tau", "uplink_bits", "energy_budget_j"):
+        for name in _RANGE_FIELDS:
             lo, hi = getattr(self, name)
             if not 0 < lo <= hi:
                 raise ValueError(f"range {name} must be ordered and positive")
         if not self.power_cap_w > 0:
             raise ValueError("power_cap_w must be positive")
+
+
+# The (lo, hi) sampling ranges, in declaration order.
+_RANGE_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioSpec)
+                     if f.type == "Tuple[float, float]")
 
 
 def path_loss_gain(distance_km: float) -> float:
@@ -166,6 +167,16 @@ class SweepKind(Enum):
     USERS = "users"
 
 
+# The field each kind varies: a ScenarioSpec's for USERS, a SystemConfig's otherwise.
+_SWEPT_FIELD = {SweepKind.OMEGA: "weight_omega", SweepKind.SMIN: "s_min_px",
+                SweepKind.USERS: "num_users"}
+
+
+def _swept(kind: SweepKind, target, value: float):
+    value = int(value) if kind is SweepKind.USERS else float(value)
+    return dataclasses.replace(target, **{_SWEPT_FIELD[kind]: value})
+
+
 @dataclass
 class ResultRow:
     method: str
@@ -180,6 +191,9 @@ class ResultRow:
     sdr_gap: float
     wall_ms: float
     status: str = "ok"
+
+
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(ResultRow))
 
 
 def opt_earnings_total(cfg: SystemConfig, users: Sequence[UserProfile]) -> float:
@@ -207,14 +221,9 @@ def check_grid(kind: SweepKind, spec: ScenarioSpec, grid: Sequence[float]) -> No
     cfg = _spec_config(spec)
     for value in grid:
         try:
-            if kind is SweepKind.USERS:
-                if not float(value).is_integer():
-                    raise ValueError("a user count must be a whole number")
-                dataclasses.replace(spec, num_users=int(value))
-            elif kind is SweepKind.OMEGA:
-                dataclasses.replace(cfg, weight_omega=float(value))
-            else:
-                dataclasses.replace(cfg, s_min_px=float(value))
+            if kind is SweepKind.USERS and not float(value).is_integer():
+                raise ValueError("a user count must be a whole number")
+            _swept(kind, spec if kind is SweepKind.USERS else cfg, value)
         except ValueError as exc:
             raise ValueError(f"{kind.value} grid value {value!r}: {exc}") from None
 
@@ -248,14 +257,10 @@ def run_sweep(kind: SweepKind, spec: ScenarioSpec, methods: Sequence[str],
         sdr_cache: SdrCache = {}
         for value in grid:
             if kind is SweepKind.USERS:
-                cfg, users, servers = generate_scenario(
-                    dataclasses.replace(seeded, num_users=int(value)))
+                cfg, users, servers = generate_scenario(_swept(kind, seeded, value))
             else:
                 cfg, users, servers = base
-                if kind is SweepKind.OMEGA:
-                    cfg = dataclasses.replace(cfg, weight_omega=float(value))
-                else:
-                    cfg = dataclasses.replace(cfg, s_min_px=float(value))
+                cfg = _swept(kind, cfg, value)
             norm = opt_earnings_total(cfg, users)
             for method in methods:
                 opts = SolveOptions(rng_seed=scen_seed, rand_samples_l=rand_samples,
@@ -282,8 +287,9 @@ def run_sweep(kind: SweepKind, spec: ScenarioSpec, methods: Sequence[str],
     return rows
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".9g")
+# One formatter per CSV column: 9 significant digits for the float fields.
+_COLUMN_FORMATS = tuple("{:.9g}".format if f.type == "float" else str
+                        for f in dataclasses.fields(ResultRow))
 
 
 def emit_results(rows: Sequence[ResultRow], path, include_timings: bool = False) -> None:
@@ -299,18 +305,7 @@ def emit_results(rows: Sequence[ResultRow], path, include_timings: bool = False)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in ordered:
-            wall = r.wall_ms if include_timings else 0.0
-            fh.write(",".join([
-                r.method,
-                str(r.seed),
-                _fmt(r.omega),
-                _fmt(r.s_min_px),
-                str(r.num_users),
-                _fmt(r.mean_latency_s),
-                _fmt(r.mean_earnings_norm),
-                _fmt(r.mean_utility),
-                str(r.iters),
-                _fmt(r.sdr_gap),
-                _fmt(wall),
-                r.status,
-            ]) + "\n")
+            if not include_timings:
+                r = dataclasses.replace(r, wall_ms=0.0)
+            fh.write(",".join(fmt(value) for fmt, value
+                              in zip(_COLUMN_FORMATS, dataclasses.astuple(r))) + "\n")

@@ -11,7 +11,7 @@ total_objective is its objective and user_earnings its earnings term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -85,9 +85,7 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.num_users < 1 or self.num_servers < 1:
             raise ValueError("need at least one user and one server")
-        for name in ("bandwidth_hz", "noise_density_w_per_hz", "weight_omega",
-                     "eta_earn", "eta_lat", "lambda_up_flop_per_bit",
-                     "s_min_px", "s_max_px", "res_norm_px", "rate_norm_bps"):
+        for name in _CONFIG_FLOATS:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive")
         if not self.s_min_px < self.s_max_px:
@@ -100,6 +98,9 @@ class SystemConfig:
     def noise_power_w(self) -> float:
         """Noise power seen by one user's equal bandwidth share."""
         return self.bandwidth_hz * self.noise_density_w_per_hz / self.num_users
+
+
+_CONFIG_FLOATS = tuple(f.name for f in fields(SystemConfig) if f.type == "float")
 
 
 @dataclass(frozen=True)
@@ -115,13 +116,14 @@ class UserProfile:
     lambda_down_flop_per_bit: float
 
     def __post_init__(self) -> None:
-        for name in ("channel_gain", "uplink_bits", "compression_ratio",
-                     "downlink_rate_bps", "earn_scale", "energy_budget_j",
-                     "power_cap_w", "lambda_down_flop_per_bit"):
+        for name in _USER_FLOATS:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         if not isinstance(self.earn_family, EarnFamily):
             raise ValueError(f"unknown earning family: {self.earn_family!r}")
+
+
+_USER_FLOATS = tuple(f.name for f in fields(UserProfile) if f.type == "float")
 
 
 @dataclass(frozen=True)
@@ -133,12 +135,12 @@ class ServerProfile:
             raise ValueError("compute_flops must be strictly positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Association:
     """User-to-server assignment: user k is on server server_indices[k].
 
     The paper's one-hot K x N matrix is the assign property, built on each
-    read; the solvers work on the index vector.
+    read; the solvers work on the index vector. Equality and hash are by value.
     """
 
     server_indices: np.ndarray
@@ -156,6 +158,15 @@ class Association:
         idx.setflags(write=False)
         object.__setattr__(self, "server_indices", idx)
         object.__setattr__(self, "num_servers", int(n))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Association):
+            return NotImplemented
+        return self.num_servers == other.num_servers \
+            and np.array_equal(self.server_indices, other.server_indices)
+
+    def __hash__(self) -> int:
+        return hash((self.num_servers, self.server_indices.tobytes()))
 
     @property
     def num_users(self) -> int:

@@ -18,6 +18,9 @@ from mecopt.resolution import _closed_form, optimal_resolution
 from mecopt.sdp import _RHO_COLD, SdpSolution, SdpStatus, _check_symmetric, _clamp_negative
 
 BRUTE_FORCE_LIMIT = 1_000_000
+# The sweep CSV header as README's "CSV schema" section documents it.
+README_CSV_HEADER = ("method,seed,omega,s_min_px,num_users,mean_latency_s,"
+                     "mean_earnings_norm,mean_utility,iters,sdr_gap,wall_ms,status")
 _BRUTE_FORCE_CHUNK = 8192
 
 

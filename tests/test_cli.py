@@ -3,7 +3,7 @@ import pytest
 
 from mecopt.cli import DEFAULT_GRIDS, build_spec, main, parse_config_file
 from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, eval_earning
-from mecopt.harness import CSV_HEADER
+from helpers import README_CSV_HEADER
 
 
 def test_run_prints_allocation_summary(capsys):
@@ -30,11 +30,11 @@ def test_sweep_writes_csv(tmp_path, capsys):
                  "--users", "4", "--servers", "2", "--samples", "50",
                  "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == README_CSV_HEADER
     assert len(lines) == 1 + 2 * 2 * 2
 
 
-def test_large_sweep_keeps_the_given_sdp_tolerance(tmp_path, monkeypatch, capsys):
+def test_large_sweep_keeps_the_given_sdp_tolerance(tmp_path, monkeypatch):
     calls = []
 
     def fake_run_sweep(kind, spec, methods, grid, **kwargs):
@@ -43,12 +43,12 @@ def test_large_sweep_keeps_the_given_sdp_tolerance(tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr("mecopt.cli.run_sweep", fake_run_sweep)
     monkeypatch.setattr("mecopt.cli.emit_results", lambda rows, out, **kwargs: None)
-    assert main(["sweep", "--kind", "omega", "--large", "--sdp-tol", "5e-5",
-                 "--seeds", "1", "--grid", "1.0", "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["sweep", "--kind", "omega", "--users", "100", "--servers", "20",
+                 "--sdp-tol", "5e-5", "--seeds", "1", "--grid", "1.0",
+                 "--out", str(tmp_path / "s.csv")]) == 0
     (spec, kwargs), = calls
     assert (spec.num_users, spec.num_servers) == (100, 20)
     assert kwargs["sdp_tol"] == 5e-5
-    assert "full-scale sweep of 4 solves" in capsys.readouterr().err
 
 
 def test_oracle_compare_small(capsys):
@@ -115,6 +115,9 @@ _SMALL_SWEEP = ["sweep", "--kind", "omega", "--methods", "random", "--grid", "1.
     (["oracle-compare", "--config", "omega.cfg"], "weight_omega"),
     (_SMALL_SWEEP[:-4] + ["--seeds", "1", "--config", "users.cfg"], "num_users"),
     (["run", "--config", "rate.cfg", "--users", "2", "--servers", "2"], "rate_norm_bps"),
+    (["oracle-compare", "--instances", "0"], "--instances"),
+    (["oracle-compare", "--instances", "-2"], "--instances"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--large"], "--large"),
 ])
 def test_bad_counts_are_rejected_at_parse_time(args, flag, tmp_path, capsys):
     # config files whose settings the model rejects
@@ -193,6 +196,17 @@ def test_env_seed_overrides_everything(tmp_path, monkeypatch):
         servers = None
 
     assert build_spec(Args()).seed == 99
+
+
+@pytest.mark.parametrize("args", [["run", "--users", "2", "--servers", "2"],
+                                  _SMALL_SWEEP + ["--seeds", "1", "--out", "s.csv"],
+                                  ["oracle-compare", "--instances", "1"]])
+def test_non_integer_env_seed_is_an_argparse_error(args, monkeypatch, capsys):
+    monkeypatch.setenv("MECOPT_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "MECOPT_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_default_grids_cover_documented_ranges():

@@ -1,15 +1,17 @@
 import dataclasses
 import inspect
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mecopt.harness import (CSV_HEADER, ResultRow, ScenarioSpec, SweepKind,
+from mecopt.harness import (_RANGE_FIELDS, CSV_HEADER, ResultRow, ScenarioSpec, SweepKind,
                             emit_results, generate_scenario, opt_earnings_total,
                             path_loss_gain, run_sweep)
 from mecopt.optimizer import SolveOptions
 from mecopt.power import feasibility_ratio
-from helpers import spearman
+from helpers import README_CSV_HEADER, spearman
 
 FAST_SWEEP = dict(rand_samples=200, sdp_tol=5e-4, sdp_max_iter=1500)
 
@@ -67,9 +69,20 @@ def test_scenario_overrides_and_validation():
         generate_scenario(dataclasses.replace(
             spec, config_overrides={"not_a_field": 1.0}))
     with pytest.raises(ValueError):
-        ScenarioSpec(tau=(2.0, 1.0))
-    with pytest.raises(ValueError):
         ScenarioSpec(min_distance_km=0.9, cell_radius_km=0.5)
+
+
+def test_range_fields_are_every_sampling_range():
+    assert _RANGE_FIELDS == tuple(f.name for f in dataclasses.fields(ScenarioSpec)
+                                  if isinstance(f.default, tuple))
+    assert len(_RANGE_FIELDS) == 7
+
+
+@pytest.mark.parametrize("bad", [(2.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, math.nan)])
+@pytest.mark.parametrize("name", _RANGE_FIELDS)
+def test_every_range_must_be_ordered_and_positive(name, bad):
+    with pytest.raises(ValueError, match=f"^range {name} must be ordered and positive$"):
+        ScenarioSpec(**{name: bad})
 
 
 def test_scenario_rejects_settings_above_the_earnings_normalizers():
@@ -133,16 +146,22 @@ def test_omega_sweep_trends_down():
 
 
 def test_emit_results_round_trip(tmp_path):
+    nan = float("nan")
     rows = [
         ResultRow("random", 2, 1.0, 921600.0, 4, 0.123456789123, 0.5, 1.0,
                   0, 0.0, 12.5),
         ResultRow("proposed", 1, 1.0, 921600.0, 4, 1.0 / 3.0, 0.25, -2.0,
                   3, 1e-3, 80.0),
+        ResultRow("random", 3, 2.5, 921600.0, 4, nan, nan, nan, 0, nan, 7.25,
+                  "error:ValueError"),
     ]
     out = tmp_path / "rows.csv"
     emit_results(rows, out)
     lines = out.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == CSV_HEADER == README_CSV_HEADER
+    assert README_CSV_HEADER in (Path(__file__).parents[1] / "README.md").read_text()
+    assert lines[2:] == ["random,2,1,921600,4,0.123456789,0.5,1,0,0,0,ok",
+                         "random,3,2.5,921600,4,nan,nan,nan,0,nan,0,error:ValueError"]
     assert lines[1].startswith("proposed,1,")  # sorted by method
     fields = lines[2].split(",")
     assert float(fields[5]) == pytest.approx(0.123456789123, rel=1e-9)

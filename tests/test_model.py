@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, eval_earning, normalize_input
-from mecopt.model import (Association, ServerProfile, SystemConfig,
-                          ZeroRateError, downlink_bits, evaluate_allocation,
-                          snap_resolution, total_objective, transmit_energy,
-                          uplink_rate)
+from mecopt.model import (_CONFIG_FLOATS, _USER_FLOATS, Association, ServerProfile,
+                          SystemConfig, UserProfile, ZeroRateError, downlink_bits,
+                          evaluate_allocation, snap_resolution, total_objective,
+                          transmit_energy, uplink_rate)
 from mecopt.optimizer import SolveOptions, solve_joint
 from helpers import make_cfg, make_user, random_one_hot, small_scenario
 
@@ -232,6 +233,17 @@ def test_server_indices_outside_the_servers_are_rejected():
             Association([0, 0], n)
 
 
+def test_associations_compare_and_hash_by_value():
+    a = Association([0, 1, 1], 2)
+    same = Association(np.array([0, 1, 1], dtype=np.int32), 2)
+    assert a == same and not a != same and hash(a) == hash(same)
+    assert a != Association([0, 1, 1], 3)
+    assert a != Association([1, 0, 1], 2)
+    assert a != Association([0, 1], 2)
+    assert a != [0, 1, 1]
+    assert len({a, same, Association([1, 1, 0], 2)}) == 2
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 10 ** 6))
 def test_one_hot_constructions_always_validate(k, n, seed):
@@ -347,6 +359,28 @@ def test_snap_resolution_tiers():
     assert snap_resolution(2e6) == ("1080p", 1920 * 1080)
     assert snap_resolution(3e7) == ("8k", 7680 * 4320)
     assert snap_resolution(6e6) == ("4k", 3840 * 2160)
+
+
+def test_validated_floats_are_every_float_field():
+    assert _CONFIG_FLOATS == tuple(f.name for f in dataclasses.fields(SystemConfig)
+                                   if f.name not in ("num_users", "num_servers"))
+    assert _USER_FLOATS == tuple(f.name for f in dataclasses.fields(UserProfile)
+                                 if f.name != "earn_family")
+    assert (len(_CONFIG_FLOATS), len(_USER_FLOATS)) == (10, 8)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", _CONFIG_FLOATS)
+def test_every_config_float_must_be_finite_and_positive(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive$"):
+        SystemConfig(num_users=1, num_servers=1, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("name", _USER_FLOATS)
+def test_every_user_float_must_be_positive(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
+        make_user(**{name: bad})
 
 
 def test_config_validation():
