@@ -4,7 +4,7 @@
 Runs the trade-off weight sweep, the minimum-resolution sweep and the
 user-count sweep for all four methods at 20 users / 5 servers / 20 seeds,
 writing omega.csv, smin.csv and users.csv into --outdir (1680 rows at the
-defaults). The defaults took 62 s on one core with one BLAS thread.
+defaults). The defaults took 15 s on one core with one BLAS thread.
 """
 
 import argparse

@@ -7,7 +7,8 @@ an earning family to a sample file (one ``x,score`` pair per line).
 
 Configuration precedence: built-in defaults < config file (flat ``key = value``
 lines of ScenarioSpec and SystemConfig fields) < command-line flags; the
-MECOPT_SEED environment variable, an integer, overrides the seed from anywhere.
+MECOPT_SEED environment variable, a nonnegative integer, overrides the seed
+from anywhere.
 """
 
 from __future__ import annotations
@@ -232,13 +233,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if solving is not None:
         if args.samples < 0:
             solving.error("--samples must be nonnegative")
-        for flag in ("users", "servers"):
-            if getattr(args, flag) is not None and getattr(args, flag) < 1:
-                solving.error(f"--{flag} must be at least 1")
+        for flag, low in (("seed", 0), ("users", 1), ("servers", 1)):
+            if getattr(args, flag) is not None and getattr(args, flag) < low:
+                solving.error(f"--{flag} must be at least {low}")
         try:
-            int(os.environ.get("MECOPT_SEED", 0))
+            env_seed = int(os.environ.get("MECOPT_SEED", 0))
         except ValueError:
             solving.error(f"MECOPT_SEED must be an integer, got {os.environ['MECOPT_SEED']!r}")
+        if env_seed < 0:
+            solving.error(f"MECOPT_SEED must be at least 0, got {env_seed}")
         if args.config:
             try:
                 harness._spec_config(build_spec(args))

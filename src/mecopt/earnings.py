@@ -3,7 +3,8 @@
 A user's token earnings are tau * h(x), where x is the combined normalized
 resolution-plus-bitrate input and h is one of three concave families fitted
 to opinion-score data: a power law, a saturating logarithm, and a saturating
-exponential.
+exponential. The model and the resolution step evaluate them only through
+this module, and fit_params fits one to samples by variable projection.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,15 +80,20 @@ DEFAULT_PARAMS = {
 }
 
 
-def normalize_input(cfg: "SystemConfig", resolution_px: float,
-                    downlink_rate_bps: float) -> float:
-    """Map (resolution, downlink rate) to [0, 1], each axis contributing [0, 0.5]."""
-    if not 0 <= resolution_px <= cfg.res_norm_px:
-        raise ValueError(f"resolution {resolution_px} outside [0, {cfg.res_norm_px}]")
-    if not 0 <= downlink_rate_bps <= cfg.rate_norm_bps:
-        raise ValueError(f"rate {downlink_rate_bps} outside [0, {cfg.rate_norm_bps}]")
-    x = 0.5 * resolution_px / cfg.res_norm_px + 0.5 * downlink_rate_bps / cfg.rate_norm_bps
-    return min(float(x), 1.0)
+def normalize_input(cfg: "SystemConfig", resolution_px, downlink_rate_bps):
+    """Map (resolution, downlink rate) to [0, 1], each axis contributing [0, 0.5].
+
+    Works elementwise on arrays, which broadcast; ValueError names the first
+    resolution, then the first rate, outside its range.
+    """
+    res = np.asarray(resolution_px, dtype=float)
+    rate = np.asarray(downlink_rate_bps, dtype=float)
+    for name, v, top in (("resolution", res, cfg.res_norm_px),
+                         ("rate", rate, cfg.rate_norm_bps)):
+        bad = np.flatnonzero(~((v >= 0) & (v <= top)))
+        if bad.size:
+            raise ValueError(f"{name} {v.flat[bad[0]]} outside [0, {top}]")
+    return np.minimum(0.5 * res / cfg.res_norm_px + 0.5 * rate / cfg.rate_norm_bps, 1.0)
 
 
 def _h(params: EarnParams, x):
@@ -115,6 +121,21 @@ def _d2h(params: EarnParams, x):
     if params.family is EarnFamily.LOG:
         return -a * b * b / np.square(1.0 + b * np.asarray(x, dtype=float))
     return -a * b * b * np.exp(-b * np.asarray(x, dtype=float))
+
+
+def _family_masks(families: Sequence[EarnFamily]) -> Iterator[Tuple[EarnParams, np.ndarray]]:
+    """Each DEFAULT_PARAMS curve with the mask of the rows whose family it is."""
+    for family, params in DEFAULT_PARAMS.items():
+        yield params, np.array([f is family for f in families], dtype=bool)
+
+
+def _h_rows(families: Sequence[EarnFamily], x: np.ndarray) -> np.ndarray:
+    """h over the array x, whose leading axis is the user: families[k] picks
+    the DEFAULT_PARAMS curve of row k."""
+    out = np.empty(x.shape)
+    for params, mine in _family_masks(families):
+        out[mine] = _h(params, x[mine])
+    return out
 
 
 def _as_x(x) -> float:
@@ -156,15 +177,8 @@ def _beta_grid(family: EarnFamily) -> np.ndarray:
     return np.geomspace(1e-2, 1e3, 400)
 
 
-def _basis_dbeta(family: EarnFamily, beta: float, x: np.ndarray) -> np.ndarray:
-    if family is EarnFamily.POW:
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = np.power(x[pos], beta) * np.log(x[pos])
-        return out
-    if family is EarnFamily.LOG:
-        return x / (1.0 + beta * x)
-    return x * np.exp(-beta * x)
+# (sqrt(5) - 1) / 2: each golden-section step keeps this share of the bracket.
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 def fit_params(samples: Iterable[Tuple[float, float]],
@@ -172,9 +186,13 @@ def fit_params(samples: Iterable[Tuple[float, float]],
                max_iter: int = 100) -> FitResult:
     """Least-squares (alpha, beta) fit of one family to (x, score) samples.
 
-    A coarse beta grid with the closed-form optimal alpha per beta seeds a
-    damped Gauss-Newton refinement. If refinement fails to improve, the best
-    grid point is returned with ``GRID_ONLY`` status.
+    Variable projection (Golub & Pereyra 1973): for a fixed beta the optimal
+    alpha is the closed form f.y / f.f with f = h(x) at alpha = 1, so the fit
+    searches beta alone. A coarse beta grid picks the best point, then a
+    golden-section search runs between that point's two grid neighbours.
+    The best point evaluated is returned. Its status is ``CONVERGED`` once
+    the bracket has closed to 1e-12 relative within ``max_iter`` steps, and
+    ``GRID_ONLY`` otherwise.
     """
     pts = np.asarray(list(samples), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 5:
@@ -185,63 +203,40 @@ def fit_params(samples: Iterable[Tuple[float, float]],
     if np.ptp(y) <= 1e-12 * max(1.0, float(np.max(np.abs(y)))):
         raise DegenerateFitError("scores are constant; no curve shape to fit")
 
-    def basis(beta: float) -> np.ndarray:
-        return _h(EarnParams(family, 1.0, beta), x)
+    best = (math.inf, 0.0, 0.0)
 
-    def sse_of(alpha: float, beta: float) -> float:
-        r = alpha * basis(beta) - y
-        return float(r @ r)
-
-    best = None
-    for beta in _beta_grid(family):
-        f = basis(beta)
+    def sse_at(beta: float) -> float:
+        """The SSE at beta's optimal alpha, inf where that alpha is not
+        positive; the best (sse, alpha, beta) seen is kept."""
+        nonlocal best
+        f = _h(EarnParams(family, 1.0, beta), x)
         denom = float(f @ f)
-        if denom <= 0:
-            continue
-        alpha = float(f @ y) / denom
-        if alpha <= 0:
-            continue
-        s = sse_of(alpha, beta)
-        if best is None or s < best[0]:
-            best = (s, alpha, beta)
-    if best is None:
-        raise DegenerateFitError("no admissible grid point for this family")
-
-    sse, alpha, beta = best
-    converged = False
-    for _ in range(max_iter):
-        f = basis(beta)
-        jac = np.column_stack([f, alpha * _basis_dbeta(family, beta, x)])
+        alpha = float(f @ y) / denom if denom > 0 else 0.0
+        if not alpha > 0:
+            return math.inf
         r = alpha * f - y
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        if not np.all(np.isfinite(step)):
-            break
-        damp = 1.0
-        improved = False
-        for _ in range(20):
-            a_new = alpha + damp * step[0]
-            b_new = beta + damp * step[1]
-            if family is EarnFamily.POW:
-                b_new = min(b_new, 1.0)
-            if a_new > 0 and b_new > 0:
-                s_new = sse_of(a_new, b_new)
-                if s_new <= sse:
-                    improved = True
-                    break
-            damp *= 0.5
-        if not improved:
-            break
-        rel = math.hypot(a_new - alpha, b_new - beta) / max(1e-12, math.hypot(alpha, beta))
-        alpha, beta, sse = a_new, b_new, s_new
-        if rel < 1e-12:
-            converged = True
-            break
+        sse = float(r @ r)
+        if sse < best[0]:
+            best = (sse, alpha, beta)
+        return sse
 
-    # On refinement stall or iteration-cap exhaustion the best parameters
-    # found so far are returned (never worse than the seeding grid point,
-    # since steps are only accepted when they do not raise the SSE) with the
-    # warning status.
-    status = FitStatus.CONVERGED if converged else FitStatus.GRID_ONLY
+    grid = _beta_grid(family)
+    i = int(np.argmin([sse_at(beta) for beta in grid]))
+    if best[0] == math.inf:
+        raise DegenerateFitError(f"no admissible grid point for the {family.value} family")
+
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
+    status = FitStatus.GRID_ONLY
+    for _ in range(max_iter):
+        c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        if sse_at(c) < sse_at(d):
+            hi = d
+        else:
+            lo = c
+        if hi - lo <= 1e-12 * hi:
+            status = FitStatus.CONVERGED
+            break
+    sse, alpha, beta = best
     return FitResult(EarnParams(family, alpha, beta), sse, status)
 
 

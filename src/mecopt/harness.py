@@ -65,8 +65,10 @@ class ScenarioSpec:
     config_overrides: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.num_users < 1 or self.num_servers < 1:
-            raise ValueError("num_users and num_servers must be at least 1")
+        for name, low in (("seed", 0), ("num_users", 1), ("num_servers", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not 0 < self.min_distance_km < self.cell_radius_km:
             raise ValueError("distances must satisfy 0 < min < radius")
         for name in _RANGE_FIELDS:
@@ -238,13 +240,22 @@ def run_sweep(kind: SweepKind, spec: ScenarioSpec, methods: Sequence[str],
     Deterministic for a fixed spec: scenario seeds are spec.seed + i and all
     solver randomness derives from them. Per-point failures are recorded in
     the row's status and the sweep continues; a grid value that makes no
-    valid point raises ValueError (check_grid) before anything is solved.
+    valid point (check_grid) or a solver setting out of range raises
+    ValueError before any scenario is drawn.
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
     bad = set(methods) - set(METHODS)
     if bad:
         raise ValueError(f"unknown methods: {sorted(bad)}")
+    if num_seeds < 1:
+        raise ValueError(f"num_seeds must be at least 1, got {num_seeds}")
+    if rand_samples < 0:
+        raise ValueError(f"rand_samples must be nonnegative, got {rand_samples}")
+    if not 0 < sdp_tol < np.inf:
+        raise ValueError(f"sdp_tol must be finite and positive, got {sdp_tol}")
+    if sdp_max_iter < 1:
+        raise ValueError(f"sdp_max_iter must be at least 1, got {sdp_max_iter}")
     check_grid(kind, spec, grid)
 
     rows: List[ResultRow] = []

@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .earnings import DEFAULT_PARAMS, EarnFamily, _h
+from .earnings import EarnFamily, _h_rows, normalize_input
 
 __all__ = [
     "SystemConfig",
@@ -187,8 +187,6 @@ def uplink_rate(cfg: SystemConfig, user: UserProfile, power_w: float) -> float:
     """Shannon uplink rate on the user's equal bandwidth share, in bit/s."""
     if power_w < 0:
         raise ValueError(f"negative transmit power: {power_w}")
-    if power_w == 0:
-        return 0.0
     snr = user.channel_gain * power_w / cfg.noise_power_w
     share = cfg.bandwidth_hz / cfg.num_users
     return share * math.log1p(snr) / math.log(2.0)
@@ -223,27 +221,10 @@ def user_task_flops(cfg: SystemConfig, users: Sequence[UserProfile],
 
 def user_earnings(cfg: SystemConfig, users: Sequence[UserProfile],
                   resolutions: Sequence[float]) -> np.ndarray:
-    """Each user's earnings tau * h(x) at the given resolutions.
-
-    x is the normalized resolution-plus-bitrate input of
-    :func:`normalize_input`, with the same range checks; h is evaluated once
-    per earning family over that family's users.
-    """
-    res = np.asarray(resolutions, dtype=float)
-    rate = _per_user(users, "downlink_rate_bps")
-    bad = np.flatnonzero(~((res >= 0) & (res <= cfg.res_norm_px)))
-    if bad.size:
-        raise ValueError(f"resolution {res[bad[0]]} outside [0, {cfg.res_norm_px}]")
-    bad = np.flatnonzero(~((rate >= 0) & (rate <= cfg.rate_norm_bps)))
-    if bad.size:
-        raise ValueError(f"rate {rate[bad[0]]} outside [0, {cfg.rate_norm_bps}]")
-    x = np.minimum(0.5 * res / cfg.res_norm_px + 0.5 * rate / cfg.rate_norm_bps, 1.0)
-    tau = _per_user(users, "earn_scale")
-    earn = np.empty(len(users))
-    for family, params in DEFAULT_PARAMS.items():
-        mine = np.array([u.earn_family is family for u in users], dtype=bool)
-        earn[mine] = tau[mine] * _h(params, x[mine])
-    return earn
+    """Each user's earnings tau * h(x) at the given resolutions, x being
+    :func:`normalize_input` of its resolution and downlink rate."""
+    x = normalize_input(cfg, resolutions, _per_user(users, "downlink_rate_bps"))
+    return _per_user(users, "earn_scale") * _h_rows([u.earn_family for u in users], x)
 
 
 def total_objective(cfg: SystemConfig, users: Sequence[UserProfile],

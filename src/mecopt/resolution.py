@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .earnings import DEFAULT_PARAMS, EarnFamily
+from .earnings import EarnFamily, _family_masks
 from .model import (STEREO_BITS_PER_PIXEL, Association, ServerProfile,
                     SystemConfig, UserProfile, _per_user)
 
@@ -63,13 +63,12 @@ def _closed_form(cfg: SystemConfig, families: Sequence[EarnFamily],
     dx_ds = 0.5 / cfg.res_norm_px
     x_star = np.empty(np.shape(slope))
     with np.errstate(over="ignore", divide="ignore"):
-        for family, p in DEFAULT_PARAMS.items():
-            mine = np.array([f is family for f in families], dtype=bool)
+        for p, mine in _family_masks(families):
             c1 = slope[mine]
             marginal = earn_scale[mine] * p.alpha * p.beta * dx_ds
-            if family is EarnFamily.POW:
+            if p.family is EarnFamily.POW:
                 x_star[mine] = (c1 / marginal) ** (1.0 / (p.beta - 1.0))
-            elif family is EarnFamily.LOG:
+            elif p.family is EarnFamily.LOG:
                 x_star[mine] = (marginal / c1 - 1.0) / p.beta
             else:
                 x_star[mine] = -np.log(c1 / marginal) / p.beta

@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from mecopt.association import (InstanceTooLargeError, RoundingReport, _batch_objectives,
                                 _block_cost, _project_assignment, _schur_parts, build_qcqp)
-from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, _h
+from mecopt.earnings import EarnFamily, _h_rows
 from mecopt.harness import ScenarioSpec, generate_scenario
 from mecopt.model import (STEREO_BITS_PER_PIXEL, Association, SystemConfig, UserProfile,
                           _per_user, total_objective)
@@ -57,11 +57,7 @@ def resolution_objective(cfg, families, slope, earn_scale, x_offset, s):
     maximizes. The arrays broadcast, and the leading axis of the result is
     the user: families[k] picks the DEFAULT_PARAMS curve h of row k."""
     x = x_offset + 0.5 / cfg.res_norm_px * s
-    h = np.empty(x.shape)
-    for family, params in DEFAULT_PARAMS.items():
-        mine = np.array([f is family for f in families], dtype=bool)
-        h[mine] = _h(params, x[mine])
-    return earn_scale * h - slope * s
+    return earn_scale * _h_rows(families, x) - slope * s
 
 
 def nested_brute_force(cfg, users, servers, powers):

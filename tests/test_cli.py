@@ -118,6 +118,7 @@ _SMALL_SWEEP = ["sweep", "--kind", "omega", "--methods", "random", "--grid", "1.
     (["oracle-compare", "--instances", "0"], "--instances"),
     (["oracle-compare", "--instances", "-2"], "--instances"),
     (_SMALL_SWEEP + ["--seeds", "1", "--large"], "--large"),
+    (["run", "--seed", "-1", "--users", "2", "--servers", "2"], "--seed"),
 ])
 def test_bad_counts_are_rejected_at_parse_time(args, flag, tmp_path, capsys):
     # config files whose settings the model rejects
@@ -196,6 +197,9 @@ def test_env_seed_overrides_everything(tmp_path, monkeypatch):
         servers = None
 
     assert build_spec(Args()).seed == 99
+    monkeypatch.setenv("MECOPT_SEED", "-3")
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -3$"):
+        build_spec(Args())
 
 
 @pytest.mark.parametrize("args", [["run", "--users", "2", "--servers", "2"],
@@ -207,6 +211,17 @@ def test_non_integer_env_seed_is_an_argparse_error(args, monkeypatch, capsys):
         main(args)
     assert exc.value.code == 2
     assert "MECOPT_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["run", "--users", "2", "--servers", "2"],
+                                  _SMALL_SWEEP + ["--seeds", "1", "--out", "s.csv"],
+                                  ["oracle-compare", "--instances", "1"]])
+def test_negative_env_seed_is_an_argparse_error(args, monkeypatch, capsys):
+    monkeypatch.setenv("MECOPT_SEED", "-3")
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "MECOPT_SEED must be at least 0, got -3" in capsys.readouterr().err
 
 
 def test_default_grids_cover_documented_ranges():

@@ -72,6 +72,15 @@ def test_scenario_overrides_and_validation():
         ScenarioSpec(min_distance_km=0.9, cell_radius_km=0.5)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("seed", -1), ("seed", 1.5), ("num_users", 2.5), ("num_users", 0),
+    ("num_servers", 2.0), ("num_servers", -1)])
+def test_seed_and_counts_must_be_integers_in_range(name, value):
+    low = 0 if name == "seed" else 1
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}, got {value}$"):
+        ScenarioSpec(**{name: value})
+
+
 def test_range_fields_are_every_sampling_range():
     assert _RANGE_FIELDS == tuple(f.name for f in dataclasses.fields(ScenarioSpec)
                                   if isinstance(f.default, tuple))
@@ -202,6 +211,19 @@ def test_bad_grid_values_are_rejected_before_any_solve(kind, grid, value, monkey
     with pytest.raises(ValueError, match=f"{kind.value} grid value {value}:"):
         run_sweep(kind, ScenarioSpec(seed=1, num_users=2, num_servers=2), ["random"],
                   grid, num_seeds=1)
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("num_seeds", 0), ("rand_samples", -5), ("sdp_tol", math.nan), ("sdp_tol", 0.0),
+    ("sdp_tol", math.inf), ("sdp_max_iter", 0)])
+def test_bad_solver_settings_are_rejected_before_any_scenario(setting, value, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a scenario was drawn before the settings were checked")
+
+    monkeypatch.setattr("mecopt.harness.generate_scenario", no_work)
+    with pytest.raises(ValueError, match=f"^{setting} must be .*, got {value}$"):
+        run_sweep(SweepKind.OMEGA, ScenarioSpec(seed=1, num_users=2, num_servers=2),
+                  ["proposed", "random"], [1.0], **{setting: value})
 
 
 def test_optearn_rows_are_the_earnings_anchor():
