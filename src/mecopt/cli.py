@@ -24,7 +24,7 @@ import numpy as np
 
 from . import harness
 from .association import build_qcqp, exact_association, gaussian_randomize, solve_association_sdr
-from .earnings import EarnFamily, fit_params
+from .earnings import EarnFamily, FitResult, fit_params
 from .harness import (ScenarioSpec, SweepKind, check_grid, emit_results, generate_scenario,
                       run_sweep)
 from .model import SystemConfig, snap_resolution
@@ -98,7 +98,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     norm = harness.opt_earnings_total(cfg, users)
     print(f"scenario seed={spec.seed} users={cfg.num_users} "
-          f"servers={cfg.num_servers} omega={cfg.weight_omega:g} "
+          f"servers={len(servers)} omega={cfg.weight_omega:g} "
           f"eta_earn={cfg.eta_earn:g} eta_lat={cfg.eta_lat:g} method={args.method}")
     print(f"{'user':>4} {'server':>6} {'power_w':>10} {'res_px':>12} "
           f"{'tier':>6} {'lat_s':>10} {'earn':>10} {'utility':>10}")
@@ -157,7 +157,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
         bound_ok += sdr.lower_bound <= best + 1e-6
         within += ratio <= 1.05
         sdp_iterations += sdr.solution.iterations
-        print(f"instance {i:3d}: K={cfg.num_users} N={cfg.num_servers} "
+        print(f"instance {i:3d}: K={cfg.num_users} N={len(servers)} "
               f"bound={sdr.lower_bound:.6g} rounded={report.best_objective:.6g} "
               f"exact={best:.6g} ratio={ratio:.4f} "
               f"sdp_iters={sdr.solution.iterations}")
@@ -167,14 +167,21 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     return 0 if bound_ok == args.instances else 1
 
 
-def _cmd_fit_earnings(args: argparse.Namespace) -> int:
+def _fit_samples_file(path: str, family: EarnFamily) -> FitResult:
+    """Fit family to path's 'x,score' lines; OSError or ValueError if the
+    file cannot be read or fitted."""
     samples = []
-    for lineno, line in _data_lines(args.samples):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{args.samples}:{lineno}: expected 'x,score'")
-        samples.append((float(parts[0]), float(parts[1])))
-    result = fit_params(samples, EarnFamily(args.family))
+    for lineno, line in _data_lines(path):
+        try:
+            x, score = map(float, line.split(","))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 'x,score', got {line!r}") from None
+        samples.append((x, score))
+    return fit_params(samples, family)
+
+
+def _cmd_fit_earnings(args: argparse.Namespace) -> int:
+    result = args.fit
     print(f"family={args.family} alpha={result.params.alpha:.9g} "
           f"beta={result.params.beta:.9g} sse={result.sse:.6g} "
           f"status={result.status.value}")
@@ -254,9 +261,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p_sweep.error("--seeds must be at least 1")
     if args.command == "sweep" and not (math.isfinite(args.sdp_tol) and args.sdp_tol > 0):
         p_sweep.error("--sdp-tol must be finite and positive")
-    if args.command == "sweep" and not set(args.methods.split(",")) <= set(harness.METHODS):
-        p_sweep.error(f"--methods entries must be among {','.join(harness.METHODS)}")
     if args.command == "sweep":
+        methods = args.methods.split(",")
+        if not set(methods) <= set(harness.METHODS) or len(set(methods)) < len(methods):
+            p_sweep.error(f"--methods entries must be distinct and among "
+                          f"{','.join(harness.METHODS)}")
         kind = SweepKind(args.kind)
         try:
             check_grid(kind, build_spec(args), args.grid or DEFAULT_GRIDS[kind])
@@ -266,6 +275,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p_oracle.error("--max-users and --max-servers must be at least 2")
     if args.command == "oracle-compare" and args.instances < 1:
         p_oracle.error("--instances must be at least 1")
+    if args.command == "fit-earnings":
+        try:
+            args.fit = _fit_samples_file(args.samples, EarnFamily(args.family))
+        except (OSError, ValueError) as exc:
+            p_fit.error(f"--samples {args.samples}: {exc}")
     return args.func(args)
 
 

@@ -25,14 +25,12 @@ __all__ = [
     "DEFAULT_PARAMS",
     "normalize_input",
     "eval_earning",
-    "eval_earning_derivative",
     "fit_params",
     "check_assumption1",
     "FitResult",
     "FitStatus",
     "CheckResult",
     "DegenerateFitError",
-    "DerivativeSingularError",
 ]
 
 
@@ -44,10 +42,6 @@ class EarnFamily(Enum):
 
 class DegenerateFitError(ValueError):
     """Fitting samples carry no usable curvature (e.g. constant scores)."""
-
-
-class DerivativeSingularError(ValueError):
-    """Analytic derivative is unbounded at the requested point."""
 
 
 @dataclass(frozen=True)
@@ -138,25 +132,12 @@ def _h_rows(families: Sequence[EarnFamily], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_x(x) -> float:
+def eval_earning(params: EarnParams, tau: float, x) -> float:
+    """Earnings tau * h(x) for a normalized input x in [0, 1]."""
     v = float(x)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"normalized input outside [0, 1]: {v}")
-    return v
-
-
-def eval_earning(params: EarnParams, tau: float, x) -> float:
-    """Earnings tau * h(x) for a normalized input x in [0, 1]."""
-    return float(tau * _h(params, _as_x(x)))
-
-
-def eval_earning_derivative(params: EarnParams, tau: float, x) -> float:
-    """Analytic d(earnings)/dx. Power family is singular at x = 0 for beta < 1."""
-    v = _as_x(x)
-    if params.family is EarnFamily.POW and v == 0.0 and params.beta < 1.0:
-        raise DerivativeSingularError(
-            f"power-family derivative diverges at x=0 for beta={params.beta}")
-    return float(tau * _dh(params, v))
+    return float(tau * _h(params, v))
 
 
 class FitStatus(Enum):
@@ -240,6 +221,9 @@ def fit_params(samples: Iterable[Tuple[float, float]],
     return FitResult(EarnParams(family, alpha, beta), sse, status)
 
 
+_CHECK_POINTS = 1000
+
+
 @dataclass(frozen=True)
 class CheckResult:
     ok: bool
@@ -247,9 +231,10 @@ class CheckResult:
     x: Optional[float] = None
 
 
-def check_assumption1(params: EarnParams, grid_points: int = 1000) -> CheckResult:
-    """Verify dh/dx > 0 and d2h/dx2 < 0 on a uniform grid of (0, 1]."""
-    xs = np.arange(1, grid_points + 1, dtype=float) / grid_points
+def check_assumption1(params: EarnParams) -> CheckResult:
+    """Verify dh/dx > 0 and d2h/dx2 < 0 on the grid i / _CHECK_POINTS,
+    i = 1 .. _CHECK_POINTS, of (0, 1]."""
+    xs = np.arange(1, _CHECK_POINTS + 1, dtype=float) / _CHECK_POINTS
     d1 = _dh(params, xs)
     d2 = _d2h(params, xs)
     bad = np.nonzero(d1 <= 0)[0]

@@ -111,7 +111,7 @@ def _draw_user(rng: np.random.Generator, spec: ScenarioSpec) -> UserProfile:
         energy_budget_j=energy,
         power_cap_w=spec.power_cap_w,
         # per-pixel complexity kappa stored per bit so that flops per frame
-        # equal kappa times the pixel count exactly
+        # equal kappa times the pixel count, up to rounding
         lambda_down_flop_per_bit=kappa * compression / STEREO_BITS_PER_PIXEL,
     )
 
@@ -155,8 +155,7 @@ def _spec_config(spec: ScenarioSpec) -> SystemConfig:
     unknown = set(spec.config_overrides) - {f.name for f in dataclasses.fields(SystemConfig)}
     if unknown:
         raise ValueError(f"unknown SystemConfig overrides: {sorted(unknown)}")
-    cfg = SystemConfig(num_users=spec.num_users, num_servers=spec.num_servers,
-                       **spec.config_overrides)
+    cfg = SystemConfig(num_users=spec.num_users, **spec.config_overrides)
     if spec.downlink_rate_bps[1] > cfg.rate_norm_bps:
         raise ValueError(f"downlink rate {spec.downlink_rate_bps[1]} exceeds the earnings "
                          f"normalizer rate_norm_bps {cfg.rate_norm_bps}")
@@ -239,12 +238,14 @@ def run_sweep(kind: SweepKind, spec: ScenarioSpec, methods: Sequence[str],
 
     Deterministic for a fixed spec: scenario seeds are spec.seed + i and all
     solver randomness derives from them. Per-point failures are recorded in
-    the row's status and the sweep continues; a grid value that makes no
-    valid point (check_grid) or a solver setting out of range raises
-    ValueError before any scenario is drawn.
+    the row's status and the sweep continues; an empty or repeated method,
+    a grid value that makes no valid point (check_grid) or a solver setting
+    out of range raises ValueError before any scenario is drawn.
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"methods must be non-empty and distinct, got {list(methods)}")
     bad = set(methods) - set(METHODS)
     if bad:
         raise ValueError(f"unknown methods: {sorted(bad)}")

@@ -27,7 +27,6 @@ __all__ = [
     "ZeroRateError",
     "dbm_per_hz_to_w_per_hz",
     "uplink_rate",
-    "downlink_bits",
     "transmit_energy",
     "user_task_flops",
     "user_earnings",
@@ -55,7 +54,7 @@ def dbm_per_hz_to_w_per_hz(dbm_per_hz: float) -> float:
 
 
 class ZeroRateError(ValueError):
-    """Uplink latency is undefined at zero transmit power."""
+    """Uplink latency is undefined at a non-positive transmit power."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,6 @@ class SystemConfig:
     """
 
     num_users: int
-    num_servers: int
     bandwidth_hz: float = 20e6
     noise_density_w_per_hz: float = dbm_per_hz_to_w_per_hz(-134.0)
     weight_omega: float = 1.0
@@ -83,8 +81,8 @@ class SystemConfig:
     rate_norm_bps: float = 20e6
 
     def __post_init__(self) -> None:
-        if self.num_users < 1 or self.num_servers < 1:
-            raise ValueError("need at least one user and one server")
+        if self.num_users < 1:
+            raise ValueError("need at least one user")
         for name in _CONFIG_FLOATS:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive")
@@ -192,13 +190,6 @@ def uplink_rate(cfg: SystemConfig, user: UserProfile, power_w: float) -> float:
     return share * math.log1p(snr) / math.log(2.0)
 
 
-def downlink_bits(cfg: SystemConfig, user: UserProfile, resolution_px: float) -> float:
-    """Compressed downlink payload for one stereo frame at the given resolution."""
-    if resolution_px < 0:
-        raise ValueError(f"negative resolution: {resolution_px}")
-    return STEREO_BITS_PER_PIXEL * resolution_px / user.compression_ratio
-
-
 def transmit_energy(cfg: SystemConfig, user: UserProfile, power_w: float) -> float:
     """Energy spent pushing the uplink payload at the given power, in joules."""
     if power_w <= 0:
@@ -279,8 +270,8 @@ def evaluate_allocation(cfg: SystemConfig, users: Sequence[UserProfile],
     slack = 1e-9
     zero = np.flatnonzero(powers <= 0)
     if zero.size:
-        raise ZeroRateError(
-            f"user {zero[0]} has zero transmit power; uplink rate undefined")
+        raise ZeroRateError(f"user {zero[0]} has non-positive transmit power "
+                            f"{powers[zero[0]]}; uplink rate undefined")
     bad = np.flatnonzero(~(powers <= _per_user(users, "power_cap_w") * (1 + slack)))
     if bad.size:
         raise ValueError(f"user {bad[0]} power {powers[bad[0]]} outside (0, p_max]")

@@ -4,8 +4,9 @@ The uplink energy y(p) = p * D / R(p) is strictly increasing in p, so the
 energy budget binds at a unique root y(p_hat) = E_max whenever the p -> 0
 energy limit sits below the budget. That root has a closed form through the
 lower real branch of the Lambert W function; the optimal power is then the
-smaller of p_hat and the hardware power cap. A plain bisection on the root
-equation serves as an independent cross-check.
+smaller of p_hat and the hardware power cap. A plain bisection of
+model.transmit_energy against the budget serves as a cross-check that is
+independent of the closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import SystemConfig, UserProfile
+from .model import SystemConfig, UserProfile, transmit_energy
 
 __all__ = [
     "WBranch",
@@ -30,7 +31,7 @@ __all__ = [
 LN2 = math.log(2.0)
 BRANCH_POINT = -math.exp(-1.0)  # -1/e, where the two real branches meet
 _HALLEY_CAP = 50
-_RES_TOL = 1e-13
+_BISECT_STEPS = 200
 
 
 class WBranch(Enum):
@@ -163,30 +164,21 @@ def optimal_power(cfg: SystemConfig, user: UserProfile) -> PowerSolution:
     return PowerSolution(p_hat, PowerBinding.ENERGY_BUDGET, z)
 
 
-def _uplink_energy(cfg: SystemConfig, user: UserProfile, p: float) -> float:
-    # Written from the root equation directly, independent of the model module.
-    snr = user.channel_gain * p * cfg.num_users \
-        / (cfg.bandwidth_hz * cfg.noise_density_w_per_hz)
-    rate = cfg.bandwidth_hz * math.log1p(snr) / (LN2 * cfg.num_users)
-    return p * user.uplink_bits / rate
-
-
-def energy_root_oracle(cfg: SystemConfig, user: UserProfile,
-                       iterations: int = 200) -> float:
-    """Bisection root of y(p) = E_max, relying only on monotonicity of y."""
+def energy_root_oracle(cfg: SystemConfig, user: UserProfile) -> float:
+    """Bisection root of transmit_energy(p) = E_max, relying only on its monotonicity."""
     z = feasibility_ratio(cfg, user)
     if z >= 1.0:
         raise EnergyInfeasibleError(z)
     budget = user.energy_budget_j
     lo = 1e-12
     hi = 2e-12
-    while _uplink_energy(cfg, user, hi) <= budget:
+    while transmit_energy(cfg, user, hi) <= budget:
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("failed to bracket the energy root")
-    for _ in range(iterations):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        if _uplink_energy(cfg, user, mid) <= budget:
+        if transmit_energy(cfg, user, mid) <= budget:
             lo = mid
         else:
             hi = mid

@@ -24,8 +24,8 @@ README_CSV_HEADER = ("method,seed,omega,s_min_px,num_users,mean_latency_s,"
 _BRUTE_FORCE_CHUNK = 8192
 
 
-def make_cfg(num_users=4, num_servers=2, **overrides) -> SystemConfig:
-    return SystemConfig(num_users=num_users, num_servers=num_servers, **overrides)
+def make_cfg(num_users=4, **overrides) -> SystemConfig:
+    return SystemConfig(num_users=num_users, **overrides)
 
 
 def make_user(**overrides) -> UserProfile:

@@ -22,7 +22,7 @@ def _binary_vector(assoc: Association) -> np.ndarray:
 
 
 def test_smallest_instance_matrices():
-    cfg = make_cfg(num_users=1, num_servers=1, lambda_up_flop_per_bit=5e3)
+    cfg = make_cfg(num_users=1, lambda_up_flop_per_bit=5e3)
     user = make_user(uplink_bits=1e5, compression_ratio=480.0,
                      lambda_down_flop_per_bit=5e3)
     inst = build_qcqp(cfg, [user], [ServerProfile(1e12)], [1e6])
@@ -268,7 +268,7 @@ def test_relaxation_matches_generic_sdp_problem(rng):
 
 
 def test_sdr_concentrates_on_fast_server():
-    cfg = make_cfg(num_users=1, num_servers=2)
+    cfg = make_cfg(num_users=1)
     user = make_user()
     servers = [ServerProfile(5e12), ServerProfile(5e10)]
     inst = build_qcqp(cfg, [user], servers, [5e6])
@@ -498,7 +498,7 @@ def test_rounding_rejects_a_malformed_stack():
 
 
 def test_brute_force_balances_identical_users():
-    cfg = make_cfg(num_users=2, num_servers=2)
+    cfg = make_cfg(num_users=2)
     users = [make_user(), make_user()]
     servers = [ServerProfile(1e12), ServerProfile(1e12)]
     assoc, _ = exact_association(build_qcqp(cfg, users, servers, [2e6, 2e6]))
@@ -506,7 +506,7 @@ def test_brute_force_balances_identical_users():
 
 
 def test_brute_force_single_user_picks_fastest():
-    cfg = make_cfg(num_users=1, num_servers=3)
+    cfg = make_cfg(num_users=1)
     servers = [ServerProfile(1e12), ServerProfile(4e12), ServerProfile(2e12)]
     assoc, _ = exact_association(build_qcqp(cfg, [make_user()], servers, [2e6]))
     assert assoc.server_indices[0] == 1

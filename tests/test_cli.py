@@ -119,6 +119,7 @@ _SMALL_SWEEP = ["sweep", "--kind", "omega", "--methods", "random", "--grid", "1.
     (["oracle-compare", "--instances", "-2"], "--instances"),
     (_SMALL_SWEEP + ["--seeds", "1", "--large"], "--large"),
     (["run", "--seed", "-1", "--users", "2", "--servers", "2"], "--seed"),
+    (_SMALL_SWEEP + ["--seeds", "1", "--methods", "random,random"], "--methods"),
 ])
 def test_bad_counts_are_rejected_at_parse_time(args, flag, tmp_path, capsys):
     # config files whose settings the model rejects
@@ -144,6 +145,24 @@ def test_fit_earnings_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "alpha=89.9" in out
     assert "status=converged" in out
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file"),
+    ("0.1,1.0\n0.2\n", "line 2: expected 'x,score', got '0.2'"),
+    ("0.1,1.0\n0.2,2.0\n", "need at least 5"),
+    ("".join(f"0.{i},3.0\n" for i in range(1, 7)), "scores are constant"),
+], ids=["missing", "not-a-pair", "too-few", "constant"])
+def test_bad_samples_file_is_an_argparse_error(text, message, tmp_path, capsys):
+    path = tmp_path / "samples.txt"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["fit-earnings", "--family", "pow", "--samples", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--samples {path}: " in err
+    assert message in err
 
 
 def test_config_file_parsing(tmp_path):

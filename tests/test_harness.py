@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -215,15 +216,17 @@ def test_bad_grid_values_are_rejected_before_any_solve(kind, grid, value, monkey
 
 @pytest.mark.parametrize("setting, value", [
     ("num_seeds", 0), ("rand_samples", -5), ("sdp_tol", math.nan), ("sdp_tol", 0.0),
-    ("sdp_tol", math.inf), ("sdp_max_iter", 0)])
+    ("sdp_tol", math.inf), ("sdp_max_iter", 0), ("methods", []),
+    ("methods", ["random", "random"])])
 def test_bad_solver_settings_are_rejected_before_any_scenario(setting, value, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a scenario was drawn before the settings were checked")
 
     monkeypatch.setattr("mecopt.harness.generate_scenario", no_work)
-    with pytest.raises(ValueError, match=f"^{setting} must be .*, got {value}$"):
+    kwargs = {"methods": ["proposed", "random"], "grid": [1.0], setting: value}
+    with pytest.raises(ValueError, match=f"^{setting} must be .*, got {re.escape(str(value))}$"):
         run_sweep(SweepKind.OMEGA, ScenarioSpec(seed=1, num_users=2, num_servers=2),
-                  ["proposed", "random"], [1.0], **{setting: value})
+                  **kwargs)
 
 
 def test_optearn_rows_are_the_earnings_anchor():

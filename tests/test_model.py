@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, eval_earning, normalize_input
 from mecopt.model import (_CONFIG_FLOATS, _USER_FLOATS, Association, ServerProfile,
-                          SystemConfig, UserProfile, ZeroRateError, downlink_bits,
+                          SystemConfig, UserProfile, ZeroRateError,
                           evaluate_allocation, snap_resolution, total_objective,
                           transmit_energy, uplink_rate)
 from mecopt.optimizer import SolveOptions, solve_joint
@@ -51,16 +51,9 @@ def test_uplink_rate_increasing_and_concave():
     assert np.all(np.diff(first) < 0)
 
 
-def test_downlink_bits_cases():
-    cfg = make_cfg()
-    assert downlink_bits(cfg, make_user(compression_ratio=300.0), 1280 * 720) == 147456
-    assert downlink_bits(cfg, make_user(compression_ratio=600.0), 7680 * 4320) == 2654208
-    assert downlink_bits(cfg, make_user(), 0.0) == 0.0
-
-
 def test_compute_latency_single_user_one_gigaflop():
     # lambda_u * D_u = 5e8 and lambda_d * D_d = 5e8 -> 1 GFLOP on 1 TFLOPS
-    cfg = make_cfg(num_users=1, num_servers=1, lambda_up_flop_per_bit=5e3)
+    cfg = make_cfg(num_users=1, lambda_up_flop_per_bit=5e3)
     user = make_user(uplink_bits=1e5, compression_ratio=480.0,
                      lambda_down_flop_per_bit=5e3)
     servers = [ServerProfile(1e12)]
@@ -70,7 +63,7 @@ def test_compute_latency_single_user_one_gigaflop():
 
 
 def test_compute_latency_doubles_when_sharing():
-    cfg = make_cfg(num_users=2, num_servers=2)
+    cfg = make_cfg(num_users=2)
     users = [make_user(), make_user()]
     servers = [ServerProfile(2e12), ServerProfile(3e12)]
     alone = Association([0, 1], 2)
@@ -82,7 +75,7 @@ def test_compute_latency_doubles_when_sharing():
 
 
 def test_downlink_latency_linear_in_resolution():
-    cfg = make_cfg(num_users=1, num_servers=1)
+    cfg = make_cfg(num_users=1)
     user = make_user()
     servers = [ServerProfile(1e12)]
     assoc = Association([0], 1)
@@ -90,10 +83,15 @@ def test_downlink_latency_linear_in_resolution():
     l1 = evaluate_allocation(cfg, [user], servers, [0.1], [s], assoc).latency_down_s[0]
     l2 = evaluate_allocation(cfg, [user], servers, [0.1], [2 * s], assoc).latency_down_s[0]
     assert l2 == 2.0 * l1
+    # 48 bits per pixel over the compression ratio, at the 720p and 8k bounds
+    for ratio, s, bits in ((300.0, 1280 * 720, 147456), (600.0, 7680 * 4320, 2654208)):
+        user = make_user(compression_ratio=ratio)
+        alloc = evaluate_allocation(cfg, [user], servers, [0.1], [s], assoc)
+        assert alloc.latency_down_s[0] == bits / user.downlink_rate_bps
 
 
 def test_latency_matches_independent_formula_evaluation(rng):
-    cfg = make_cfg(num_users=3, num_servers=2, lambda_up_flop_per_bit=7e3)
+    cfg = make_cfg(num_users=3, lambda_up_flop_per_bit=7e3)
     users = [make_user(channel_gain=10 ** rng.uniform(-11, -9),
                        uplink_bits=rng.uniform(5e4, 2e5),
                        compression_ratio=rng.uniform(300, 600),
@@ -122,11 +120,13 @@ def test_latency_matches_independent_formula_evaluation(rng):
 
 
 def test_latency_requires_positive_power():
-    cfg = make_cfg(num_users=1, num_servers=1)
+    cfg = make_cfg(num_users=1)
     assoc = Association([0], 1)
-    with pytest.raises(ZeroRateError):
-        evaluate_allocation(cfg, [make_user()], [ServerProfile(1e12)],
-                            [0.0], [1e6], assoc)
+    for p in (0.0, -0.1):
+        with pytest.raises(ZeroRateError,
+                           match=f"^user 0 has non-positive transmit power {p}; "):
+            evaluate_allocation(cfg, [make_user()], [ServerProfile(1e12)],
+                                [p], [1e6], assoc)
 
 
 def test_transmit_energy_one_second_case():
@@ -157,7 +157,7 @@ def test_transmit_energy_zero_power_limit():
 
 
 def _tiny_instance(rng, eta_earn=1.0, omega=1.0):
-    cfg = make_cfg(num_users=2, num_servers=2, eta_earn=eta_earn,
+    cfg = make_cfg(num_users=2, eta_earn=eta_earn,
                    weight_omega=omega)
     users = [make_user(channel_gain=1e-9), make_user(channel_gain=2e-9)]
     servers = [ServerProfile(1e12), ServerProfile(2e12)]
@@ -169,7 +169,7 @@ def _tiny_instance(rng, eta_earn=1.0, omega=1.0):
 
 def test_utility_with_earnings_switched_off(rng):
     cfg, users, servers, powers, res, assoc = _tiny_instance(rng, eta_earn=1e-12)
-    cfg = make_cfg(num_users=2, num_servers=2, eta_earn=1e-300)
+    cfg = make_cfg(num_users=2, eta_earn=1e-300)
     alloc = evaluate_allocation(cfg, users, servers, powers, res, assoc)
     lat = alloc.total_latency_s[0]
     assert alloc.per_user_utility[0] == pytest.approx(
@@ -178,7 +178,7 @@ def test_utility_with_earnings_switched_off(rng):
 
 def test_utility_with_latency_switched_off(rng):
     cfg, users, servers, powers, res, assoc = _tiny_instance(rng)
-    cfg = make_cfg(num_users=2, num_servers=2, weight_omega=1e-300)
+    cfg = make_cfg(num_users=2, weight_omega=1e-300)
     got = evaluate_allocation(cfg, users, servers, powers, res, assoc).per_user_utility[0]
     earn = eval_earning(DEFAULT_PARAMS[users[0].earn_family], users[0].earn_scale,
                         normalize_input(cfg, res[0], users[0].downlink_rate_bps))
@@ -198,7 +198,7 @@ def test_utility_equals_earnings_minus_latency_terms(rng):
 
 
 def test_total_objective_single_user_and_additivity(rng):
-    cfg = make_cfg(num_users=1, num_servers=1)
+    cfg = make_cfg(num_users=1)
     user, server = make_user(), ServerProfile(1e12)
     assoc1 = Association([0], 1)
     f1 = total_objective(cfg, [user], [server], [0.1], [2e6], assoc1)
@@ -206,7 +206,7 @@ def test_total_objective_single_user_and_additivity(rng):
         cfg, [user], [server], [0.1], [2e6], assoc1).per_user_utility[0], rel=1e-12)
 
     # duplicating the user onto its own identical server doubles the objective
-    cfg2 = make_cfg(num_users=2, num_servers=2)
+    cfg2 = make_cfg(num_users=2)
     assoc2 = Association([0, 1], 2)
     f2 = total_objective(cfg2, [user, user], [server, server],
                          [0.1, 0.1], [2e6, 2e6], assoc2)
@@ -306,7 +306,7 @@ def test_allocation_rejects_user_count_other_than_config():
 @given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 10 ** 6))
 def test_evaluator_matches_per_user_formula(k_total, n_total, seed):
     rng = np.random.default_rng(seed)
-    cfg = make_cfg(num_users=k_total, num_servers=n_total,
+    cfg = make_cfg(num_users=k_total,
                    weight_omega=float(rng.uniform(0.5, 5.0)),
                    eta_earn=float(rng.uniform(0.1, 3.0)),
                    eta_lat=float(rng.uniform(0.1, 3.0)))
@@ -363,7 +363,7 @@ def test_snap_resolution_tiers():
 
 def test_validated_floats_are_every_float_field():
     assert _CONFIG_FLOATS == tuple(f.name for f in dataclasses.fields(SystemConfig)
-                                   if f.name not in ("num_users", "num_servers"))
+                                   if f.name != "num_users")
     assert _USER_FLOATS == tuple(f.name for f in dataclasses.fields(UserProfile)
                                  if f.name != "earn_family")
     assert (len(_CONFIG_FLOATS), len(_USER_FLOATS)) == (10, 8)
@@ -373,7 +373,7 @@ def test_validated_floats_are_every_float_field():
 @pytest.mark.parametrize("name", _CONFIG_FLOATS)
 def test_every_config_float_must_be_finite_and_positive(name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive$"):
-        SystemConfig(num_users=1, num_servers=1, **{name: bad})
+        SystemConfig(num_users=1, **{name: bad})
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
@@ -385,13 +385,13 @@ def test_every_user_float_must_be_positive(name, bad):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SystemConfig(num_users=0, num_servers=1)
+        SystemConfig(num_users=0)
     with pytest.raises(ValueError):
-        SystemConfig(num_users=1, num_servers=1, s_min_px=2e6, s_max_px=1e6)
+        SystemConfig(num_users=1, s_min_px=2e6, s_max_px=1e6)
     # the earnings input normalizes resolutions by res_norm_px, so a larger
     # s_max_px would fail every solve that reaches it
     with pytest.raises(ValueError, match=r"s_max_px 40000000\.0 .*res_norm_px 33177600"):
-        SystemConfig(num_users=1, num_servers=1, s_max_px=4e7)
-    SystemConfig(num_users=1, num_servers=1, s_max_px=4e7, res_norm_px=4e7)
+        SystemConfig(num_users=1, s_max_px=4e7)
+    SystemConfig(num_users=1, s_max_px=4e7, res_norm_px=4e7)
     with pytest.raises(ValueError):
         make_user(channel_gain=-1.0)

@@ -18,7 +18,7 @@ FAST = dict(sdp_tol=1e-4, sdp_max_iter=4000)
 
 
 def test_single_user_single_server_terminates_quickly():
-    cfg = make_cfg(num_users=1, num_servers=1, weight_omega=2.0)
+    cfg = make_cfg(num_users=1, weight_omega=2.0)
     users = [make_user(channel_gain=1e-9)]
     servers = [ServerProfile(2e12)]
     opts = SolveOptions(rng_seed=0, rand_samples_l=50, **FAST)
@@ -76,7 +76,7 @@ def test_trace_records_sdp_iteration_cap():
 def test_trace_records_exact_single_assignment_relaxation():
     # One user on one server: the relaxation's only point is the assignment
     # itself, which the splitting reaches exactly within ten iterations.
-    cfg = make_cfg(num_users=1, num_servers=1, weight_omega=2.0)
+    cfg = make_cfg(num_users=1, weight_omega=2.0)
     opts = SolveOptions(rng_seed=0, rand_samples_l=50, sdp_tol=1e-4, sdp_max_iter=10)
     _, trace = solve_joint(cfg, [make_user()], [ServerProfile(2e12)], opts)
     assert len(trace.objective_values) - 1 >= 1

@@ -181,7 +181,7 @@ def test_solve_sdp_eigenvalue_problem():
 
 
 def test_solve_sdp_forced_single_assignment():
-    cfg = make_cfg(num_users=1, num_servers=1)
+    cfg = make_cfg(num_users=1)
     user, = [make_user()]
     from mecopt.model import ServerProfile
     server = ServerProfile(1e12)
