@@ -2,8 +2,8 @@
 for edge-assisted play-to-earn streaming, with exact oracles and a
 reproducible experiment harness."""
 
-from .earnings import (DEFAULT_PARAMS, EarnFamily, EarnParams, check_assumption1,
-                       eval_earning, fit_params, normalize_input)
+from .earnings import (DEFAULT_PARAMS, EarnFamily, EarnParams, eval_earning,
+                       fit_params, normalize_input)
 from .model import (Allocation, Association, ServerProfile, SystemConfig,
                     UserProfile, evaluate_allocation, snap_resolution,
                     total_objective)

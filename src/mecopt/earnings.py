@@ -3,8 +3,9 @@
 A user's token earnings are tau * h(x), where x is the combined normalized
 resolution-plus-bitrate input and h is one of three concave families fitted
 to opinion-score data: a power law, a saturating logarithm, and a saturating
-exponential. The model and the resolution step evaluate them only through
-this module, and fit_params fits one to samples by variable projection.
+exponential. The model evaluates them, and the resolution step finds their
+stationary points, only through this module; fit_params fits one to
+samples by variable projection.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -26,10 +27,8 @@ __all__ = [
     "normalize_input",
     "eval_earning",
     "fit_params",
-    "check_assumption1",
     "FitResult",
     "FitStatus",
-    "CheckResult",
     "DegenerateFitError",
 ]
 
@@ -48,11 +47,12 @@ class DegenerateFitError(ValueError):
 class EarnParams:
     """Shape parameters (alpha, beta) of one earning family.
 
-    alpha scales the curve, beta controls saturation. Monotonicity and
-    concavity on (0, 1] additionally require beta <= 1 for the power family
-    and beta > 0 everywhere; those conditions are diagnosed by
-    ``check_assumption1`` rather than enforced here, so that out-of-bound
-    parameter sets can be constructed and rejected explicitly.
+    alpha scales the curve, beta controls saturation. Every instance meets
+    the paper's Assumption 1, that h is increasing and concave on (0, 1],
+    which the resolution step's closed form needs: for a positive alpha that
+    holds exactly when beta is positive, and also below 1 for the power
+    family. A parameter that is not finite, or that breaks the assumption,
+    raises ValueError naming it.
     """
 
     family: EarnFamily
@@ -60,10 +60,12 @@ class EarnParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.family is EarnFamily.POW and not self.beta < 1:
+            raise ValueError(f"beta must be below 1 for the pow family, got {self.beta}")
 
 
 # Fitted constants of the three built-in families (power / log / exp).
@@ -99,22 +101,19 @@ def _h(params: EarnParams, x):
     return a * -np.expm1(-b * np.asarray(x, dtype=float))
 
 
-def _dh(params: EarnParams, x):
+def _peak_input(params: EarnParams, slope, weight, dx_ds: float):
+    """The input x at which weight * h'(x) * dx_ds equals slope, elementwise:
+    the stationary point of weight * h(x) - slope * s when x moves dx_ds per
+    unit of s, a maximum because h is increasing and concave. Where the
+    ratio of the two slopes overflows or underflows, the result is +-inf
+    and numpy warns."""
     a, b = params.alpha, params.beta
+    marginal = weight * a * b * dx_ds
     if params.family is EarnFamily.POW:
-        return a * b * np.power(x, b - 1.0)
+        return (slope / marginal) ** (1.0 / (b - 1.0))
     if params.family is EarnFamily.LOG:
-        return a * b / (1.0 + b * np.asarray(x, dtype=float))
-    return a * b * np.exp(-b * np.asarray(x, dtype=float))
-
-
-def _d2h(params: EarnParams, x):
-    a, b = params.alpha, params.beta
-    if params.family is EarnFamily.POW:
-        return a * b * (b - 1.0) * np.power(x, b - 2.0)
-    if params.family is EarnFamily.LOG:
-        return -a * b * b / np.square(1.0 + b * np.asarray(x, dtype=float))
-    return -a * b * b * np.exp(-b * np.asarray(x, dtype=float))
+        return (marginal / slope - 1.0) / b
+    return -np.log(slope / marginal) / b
 
 
 def _family_masks(families: Sequence[EarnFamily]) -> Iterator[Tuple[EarnParams, np.ndarray]]:
@@ -160,19 +159,20 @@ def _beta_grid(family: EarnFamily) -> np.ndarray:
 
 # (sqrt(5) - 1) / 2: each golden-section step keeps this share of the bracket.
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+_GOLDEN_STEPS = 100
 
 
-def fit_params(samples: Iterable[Tuple[float, float]],
-               family: EarnFamily,
-               max_iter: int = 100) -> FitResult:
+def fit_params(samples: Iterable[Tuple[float, float]], family: EarnFamily) -> FitResult:
     """Least-squares (alpha, beta) fit of one family to (x, score) samples.
 
     Variable projection (Golub & Pereyra 1973): for a fixed beta the optimal
     alpha is the closed form f.y / f.f with f = h(x) at alpha = 1, so the fit
     searches beta alone. A coarse beta grid picks the best point, then a
     golden-section search runs between that point's two grid neighbours.
-    The best point evaluated is returned. Its status is ``CONVERGED`` once
-    the bracket has closed to 1e-12 relative within ``max_iter`` steps, and
+    A beta at which EarnParams rejects the curve or its optimal alpha is
+    inadmissible, so the power fit stays below beta = 1. The best point
+    evaluated is returned. Its status is ``CONVERGED`` once the bracket has
+    closed to 1e-12 relative within ``_GOLDEN_STEPS`` steps, and
     ``GRID_ONLY`` otherwise.
     """
     pts = np.asarray(list(samples), dtype=float)
@@ -184,21 +184,22 @@ def fit_params(samples: Iterable[Tuple[float, float]],
     if np.ptp(y) <= 1e-12 * max(1.0, float(np.max(np.abs(y)))):
         raise DegenerateFitError("scores are constant; no curve shape to fit")
 
-    best = (math.inf, 0.0, 0.0)
+    best = (math.inf, None)
 
     def sse_at(beta: float) -> float:
-        """The SSE at beta's optimal alpha, inf where that alpha is not
-        positive; the best (sse, alpha, beta) seen is kept."""
+        """The SSE at beta's optimal alpha, inf where EarnParams rejects
+        either; the best (sse, params) seen is kept."""
         nonlocal best
-        f = _h(EarnParams(family, 1.0, beta), x)
-        denom = float(f @ f)
-        alpha = float(f @ y) / denom if denom > 0 else 0.0
-        if not alpha > 0:
+        try:
+            f = _h(EarnParams(family, 1.0, beta), x)
+            denom = float(f @ f)
+            params = EarnParams(family, float(f @ y) / denom if denom > 0 else 0.0, beta)
+        except ValueError:
             return math.inf
-        r = alpha * f - y
+        r = params.alpha * f - y
         sse = float(r @ r)
         if sse < best[0]:
-            best = (sse, alpha, beta)
+            best = (sse, params)
         return sse
 
     grid = _beta_grid(family)
@@ -208,7 +209,7 @@ def fit_params(samples: Iterable[Tuple[float, float]],
 
     lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
     status = FitStatus.GRID_ONLY
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_STEPS):
         c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
         if sse_at(c) < sse_at(d):
             hi = d
@@ -217,30 +218,6 @@ def fit_params(samples: Iterable[Tuple[float, float]],
         if hi - lo <= 1e-12 * hi:
             status = FitStatus.CONVERGED
             break
-    sse, alpha, beta = best
-    return FitResult(EarnParams(family, alpha, beta), sse, status)
+    sse, params = best
+    return FitResult(params, sse, status)
 
-
-_CHECK_POINTS = 1000
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    defect: Optional[str] = None
-    x: Optional[float] = None
-
-
-def check_assumption1(params: EarnParams) -> CheckResult:
-    """Verify dh/dx > 0 and d2h/dx2 < 0 on the grid i / _CHECK_POINTS,
-    i = 1 .. _CHECK_POINTS, of (0, 1]."""
-    xs = np.arange(1, _CHECK_POINTS + 1, dtype=float) / _CHECK_POINTS
-    d1 = _dh(params, xs)
-    d2 = _d2h(params, xs)
-    bad = np.nonzero(d1 <= 0)[0]
-    if bad.size:
-        return CheckResult(False, "monotonicity", float(xs[bad[0]]))
-    bad = np.nonzero(d2 >= 0)[0]
-    if bad.size:
-        return CheckResult(False, "concavity", float(xs[bad[0]]))
-    return CheckResult(True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .earnings import EarnFamily
-from .model import (STEREO_BITS_PER_PIXEL, ServerProfile, SystemConfig,
+from .model import (_CONFIG_FLOATS, STEREO_BITS_PER_PIXEL, ServerProfile, SystemConfig,
                     UserProfile, user_earnings)
 from .optimizer import BaselineKind, SdrCache, SolveOptions, run_baseline, solve_joint
 from .power import feasibility_ratio
@@ -151,10 +152,15 @@ def generate_scenario(spec: ScenarioSpec,
 
 def _spec_config(spec: ScenarioSpec) -> SystemConfig:
     """The SystemConfig of spec's counts and config_overrides; ValueError if
+    an override is not a number for a float field of SystemConfig, or if
     spec's downlink rates can exceed the config's earnings normalizer."""
-    unknown = set(spec.config_overrides) - {f.name for f in dataclasses.fields(SystemConfig)}
+    unknown = set(spec.config_overrides) - set(_CONFIG_FLOATS)
     if unknown:
-        raise ValueError(f"unknown SystemConfig overrides: {sorted(unknown)}")
+        raise ValueError(f"config_overrides keys {sorted(unknown)} are not "
+                         f"SystemConfig float fields")
+    for key, value in spec.config_overrides.items():
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"config override {key} must be a number, got {value!r}")
     cfg = SystemConfig(num_users=spec.num_users, **spec.config_overrides)
     if spec.downlink_rate_bps[1] > cfg.rate_norm_bps:
         raise ValueError(f"downlink rate {spec.downlink_rate_bps[1]} exceeds the earnings "

@@ -201,13 +201,17 @@ def _per_user(users: Sequence[UserProfile], name: str) -> np.ndarray:
     return np.array([getattr(u, name) for u in users], dtype=float)
 
 
+def _downlink_bits(users: Sequence[UserProfile], resolutions: np.ndarray) -> np.ndarray:
+    """Each user's compressed stereo downlink frame at the given resolution, in bits."""
+    return STEREO_BITS_PER_PIXEL * resolutions / _per_user(users, "compression_ratio")
+
+
 def user_task_flops(cfg: SystemConfig, users: Sequence[UserProfile],
                     resolutions: np.ndarray) -> np.ndarray:
     """Each user's task FLOPs: its uplink payload plus its compressed
     downlink frame at the given resolution, each at its per-bit rate."""
-    d_down = STEREO_BITS_PER_PIXEL * resolutions / _per_user(users, "compression_ratio")
     return cfg.lambda_up_flop_per_bit * _per_user(users, "uplink_bits") \
-        + _per_user(users, "lambda_down_flop_per_bit") * d_down
+        + _per_user(users, "lambda_down_flop_per_bit") * _downlink_bits(users, resolutions)
 
 
 def user_earnings(cfg: SystemConfig, users: Sequence[UserProfile],
@@ -283,8 +287,7 @@ def evaluate_allocation(cfg: SystemConfig, users: Sequence[UserProfile],
 
     l_up = _per_user(users, "uplink_bits") \
         / np.array([uplink_rate(cfg, u, p) for u, p in zip(users, powers)])
-    l_down = STEREO_BITS_PER_PIXEL * resolutions \
-        / _per_user(users, "compression_ratio") / _per_user(users, "downlink_rate_bps")
+    l_down = _downlink_bits(users, resolutions) / _per_user(users, "downlink_rate_bps")
     idx = association.server_indices
     flops = np.array([s.compute_flops for s in servers], dtype=float)
     l_proc = user_task_flops(cfg, users, resolutions) \

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .earnings import EarnFamily, _family_masks
+from .earnings import EarnFamily, _family_masks, _peak_input
 from .model import (STEREO_BITS_PER_PIXEL, Association, ServerProfile,
                     SystemConfig, UserProfile, _per_user)
 
@@ -64,12 +64,5 @@ def _closed_form(cfg: SystemConfig, families: Sequence[EarnFamily],
     x_star = np.empty(np.shape(slope))
     with np.errstate(over="ignore", divide="ignore"):
         for p, mine in _family_masks(families):
-            c1 = slope[mine]
-            marginal = earn_scale[mine] * p.alpha * p.beta * dx_ds
-            if p.family is EarnFamily.POW:
-                x_star[mine] = (c1 / marginal) ** (1.0 / (p.beta - 1.0))
-            elif p.family is EarnFamily.LOG:
-                x_star[mine] = (marginal / c1 - 1.0) / p.beta
-            else:
-                x_star[mine] = -np.log(c1 / marginal) / p.beta
+            x_star[mine] = _peak_input(p, slope[mine], earn_scale[mine], dx_ds)
         return np.clip((x_star - x_offset) / dx_ds, cfg.s_min_px, cfg.s_max_px)

@@ -56,7 +56,10 @@ def _noisy_samples(family, seed):
 def _best_grid_sse(family, xs, ys):
     best = math.inf
     for beta in _beta_grid(family):
-        f = _h(EarnParams(family, 1.0, beta), xs)
+        try:
+            f = _h(EarnParams(family, 1.0, beta), xs)
+        except ValueError:  # a beta that breaks Assumption 1
+            continue
         alpha = (f @ ys) / (f @ f)
         if alpha > 0:
             best = min(best, float((alpha * f - ys) @ (alpha * f - ys)))

@@ -1,12 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecopt.earnings import (DEFAULT_PARAMS, CheckResult, DegenerateFitError,
-                             EarnFamily, EarnParams, FitStatus, _d2h, _dh,
-                             check_assumption1, eval_earning, fit_params,
-                             normalize_input)
+from mecopt import earnings
+from mecopt.earnings import (DEFAULT_PARAMS, DegenerateFitError, EarnFamily, EarnParams,
+                             FitStatus, eval_earning, fit_params, normalize_input)
 from helpers import make_cfg
 
 # 89.95 * (1 - exp(-4.732)), evaluated at 50 decimal digits
@@ -58,24 +59,6 @@ def test_normalize_input_rejects_out_of_range():
         normalize_input(cfg, 1e6, cfg.rate_norm_bps * 1.01)
 
 
-def test_derivative_matches_central_differences(rng):
-    h = 1e-7
-    for params in DEFAULT_PARAMS.values():
-        for x in rng.uniform(0.05, 0.95, size=50):
-            fd = (eval_earning(params, 1.0, x + h)
-                  - eval_earning(params, 1.0, x - h)) / (2 * h)
-            assert _dh(params, x) == pytest.approx(fd, rel=1e-6)
-            fd2 = (_dh(params, x + h) - _dh(params, x - h)) / (2 * h)
-            assert _d2h(params, x) == pytest.approx(fd2, rel=1e-6)
-
-
-def test_derivative_limits_at_zero():
-    log_p = DEFAULT_PARAMS[EarnFamily.LOG]
-    exp_p = DEFAULT_PARAMS[EarnFamily.EXP]
-    assert _dh(log_p, 0.0) == pytest.approx(log_p.alpha * log_p.beta, rel=1e-15)
-    assert _dh(exp_p, 0.0) == pytest.approx(exp_p.alpha * exp_p.beta, rel=1e-15)
-
-
 @pytest.mark.parametrize("family", list(EarnFamily))
 def test_fit_recovers_default_constants(family):
     truth = DEFAULT_PARAMS[family]
@@ -99,32 +82,33 @@ def test_fit_rejects_tiny_sample_sets():
         fit_params([(0.1, 1.0), (0.2, 2.0)], EarnFamily.POW)
 
 
-def test_fit_flags_exhausted_iteration_budget():
+def test_fit_flags_exhausted_iteration_budget(monkeypatch):
     truth = DEFAULT_PARAMS[EarnFamily.EXP]
     xs = np.linspace(0.0, 1.0, 50)
     samples = [(float(x), eval_earning(truth, 1.0, float(x))) for x in xs]
-    result = fit_params(samples, EarnFamily.EXP, max_iter=1)
+    monkeypatch.setattr(earnings, "_GOLDEN_STEPS", 1)
+    result = fit_params(samples, EarnFamily.EXP)
     assert result.status is FitStatus.GRID_ONLY
     # still no worse than the seeding grid point
     assert result.sse < 1.0
 
 
-def test_assumption_check_accepts_default_parameter_sets():
-    for params in DEFAULT_PARAMS.values():
-        assert check_assumption1(params) == CheckResult(True)
-
-
-def test_assumption_check_flags_convex_power():
-    result = check_assumption1(EarnParams(EarnFamily.POW, 2.0, 1.5))
-    assert not result.ok
-    assert result.defect == "concavity"
-    assert result.x == pytest.approx(0.001)
-
-
-def test_assumption_check_flags_flat_exponential():
-    result = check_assumption1(EarnParams(EarnFamily.EXP, 2.0, 0.0))
-    assert not result.ok
-    assert result.defect == "monotonicity"
+@pytest.mark.parametrize("family, alpha, beta, rejected", [
+    (EarnFamily.POW, 2.0, 1.5, "beta"),
+    (EarnFamily.POW, 2.0, 1.0, "beta"),
+    (EarnFamily.EXP, 2.0, 0.0, "beta"),
+    (EarnFamily.LOG, 2.0, math.nan, "beta"),
+    (EarnFamily.LOG, 2.0, math.inf, "beta"),
+    (EarnFamily.EXP, math.inf, 2.0, "alpha"),
+] + [(p.family, p.alpha, p.beta, None) for p in DEFAULT_PARAMS.values()])
+def test_construction_enforces_assumption1(family, alpha, beta, rejected):
+    # h' > 0 and h'' < 0 on (0, 1] hold exactly when alpha > 0, beta > 0 and,
+    # for pow, beta < 1; anything else, or a value that is not finite, is refused
+    if rejected is None:
+        assert EarnParams(family, alpha, beta).beta == beta
+    else:
+        with pytest.raises(ValueError, match=f"^{rejected} "):
+            EarnParams(family, alpha, beta)
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,8 +117,6 @@ def test_accepted_params_are_monotone_concave_on_grid(family, alpha, beta):
     if family is EarnFamily.POW:
         beta = min(beta, 0.999)
     params = EarnParams(family, alpha, beta)
-    result = check_assumption1(params)
-    assert result.ok, result
     xs = np.linspace(1e-3, 1.0, 200)
     vals = [eval_earning(params, 1.0, float(x)) for x in xs]
     diffs = np.diff(vals)

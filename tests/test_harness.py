@@ -73,6 +73,15 @@ def test_scenario_overrides_and_validation():
         ScenarioSpec(min_distance_km=0.9, cell_radius_km=0.5)
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"num_users": 5}, "num_users"), ({"weight_omega": "2"}, "weight_omega"),
+    ({"weight_omega": None}, "weight_omega")])
+def test_bad_config_overrides_are_value_errors_naming_the_key(overrides, key):
+    spec = ScenarioSpec(seed=1, num_users=3, num_servers=2, config_overrides=overrides)
+    with pytest.raises(ValueError, match=key):
+        generate_scenario(spec)
+
+
 @pytest.mark.parametrize("name, value", [
     ("seed", -1), ("seed", 1.5), ("num_users", 2.5), ("num_users", 0),
     ("num_servers", 2.0), ("num_servers", -1)])

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mecopt.earnings import EarnFamily
+from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, fit_params
 from mecopt.model import Association, total_objective
 from mecopt.resolution import _closed_form, optimal_resolution
 from helpers import make_cfg, random_one_hot, resolution_objective, small_scenario
@@ -106,6 +106,33 @@ def test_closed_form_beats_grid(family, rng):
         + np.abs(vals[rows, best] - vals[rows, np.maximum(best - 1, 0)])
     at_star = resolution_objective(cfg, families, slope, earn_scale, x_offset, s_star)
     assert np.all(at_star >= vals[rows, best] - step_var - 1e-9)
+
+
+def test_closed_form_is_exact_for_a_power_curve_fitted_to_linear_scores(monkeypatch):
+    # the least-squares power curve through score = 3x sits at beta -> 1, where
+    # a beta of exactly 1 would turn 1 / (beta - 1) into inf and the clamp
+    # would pick s_min where the grid finds s_max
+    xs = np.linspace(0.0, 1.0, 50)
+    fit = fit_params([(float(x), 3.0 * float(x)) for x in xs], EarnFamily.POW)
+    monkeypatch.setitem(DEFAULT_PARAMS, EarnFamily.POW, fit.params)
+    rng = np.random.default_rng(106)
+    cfg = make_cfg()
+    families = [EarnFamily.POW] * 200
+    slope, earn_scale, x_offset = np.array(
+        [(10 ** rng.uniform(-9.5, -5.0), rng.uniform(0.2, 4.0), rng.uniform(0.25, 0.5))
+         for _ in range(200)]).T
+    s_star = _closed_form(cfg, families, slope, earn_scale, x_offset)
+    grid = np.linspace(cfg.s_min_px, cfg.s_max_px, 2001)
+    vals = resolution_objective(cfg, families, slope[:, None], earn_scale[:, None],
+                                x_offset[:, None], grid)
+    rows = np.arange(200)
+    best = np.argmax(vals, axis=1)
+    top = vals[rows, best]
+    step_var = (top - vals[rows, np.maximum(best - 1, 0)]) \
+        + (top - vals[rows, np.minimum(best + 1, len(grid) - 1)])
+    at_star = resolution_objective(cfg, families, slope, earn_scale, x_offset, s_star)
+    assert np.all(at_star >= top - step_var - 1e-9)
+    assert {cfg.s_min_px, cfg.s_max_px} <= set(s_star)
 
 
 def test_objective_concave_at_sampled_points(rng):
