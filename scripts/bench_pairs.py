@@ -14,7 +14,9 @@ end-to-end metric: each side's median, the parent's quartiles and their
 spread, in how many pairs the change read better (ties count for neither
 side), and the median and quartiles of the per-pair change/parent ratio.
 A metric whose change median reads worse than the parent's is marked
-``WORSE``. Which way is better comes from the parent's BENCHMARK.json.
+``WORSE``, followed by ``beyond spread`` if the two medians lie farther apart
+than the parent's interquartile spread and ``within spread`` if not. Which
+way is better comes from the parent's BENCHMARK.json.
 The exit code is 1 if any run exited non-zero, failed a check or counted a
 failed operation.
 """
@@ -57,6 +59,13 @@ def quartiles(values: List[float]) -> Tuple[float, float]:
         return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
+
+
+def beyond_spread(parent: List[float], change_median: float) -> bool:
+    """Whether change_median lies farther from the median of the parent's
+    values than their interquartile spread."""
+    q1, q3 = quartiles(parent)
+    return abs(change_median - statistics.median(parent)) > q3 - q1
 
 
 def main(argv=None) -> int:
@@ -115,12 +124,13 @@ def main(argv=None) -> int:
         q1, q3 = quartiles(p)
         mp, mc = statistics.median(p), statistics.median(c)
         worse = mc > mp if way == "lower" else mc < mp
+        spread = "beyond" if beyond_spread(p, mc) else "within"
         r = ratios[name] or [float("nan")]
         r1, r3 = quartiles(r)
         print(f"  {name} ({way} is better): {mp:.6g} -> {mc:.6g} "
               f"[{q1:.6g}-{q3:.6g}, {q3 - q1:.3g}], {wins[name]}/{args.pairs}, "
               f"ratio {statistics.median(r):.4g} [{r1:.4g}-{r3:.4g}]"
-              f"{'  WORSE' if worse else ''}")
+              f"{f'  WORSE, {spread} spread' if worse else ''}")
     return status
 
 

@@ -47,6 +47,15 @@ def _data_lines(path: str) -> Iterator[Tuple[int, str]]:
                 yield lineno, line
 
 
+def _number(kind: type, text: str, where: str):
+    """kind(text) for kind int or float, or a ValueError naming where."""
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: expected {expected}, got {text.strip()!r}") from None
+
+
 def parse_config_file(path: str) -> Dict[str, object]:
     """Parse flat key = value lines into ScenarioSpec construction kwargs;
     a SystemConfig field name goes into config_overrides."""
@@ -58,15 +67,16 @@ def parse_config_file(path: str) -> Dict[str, object]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        where = f"{path}:{lineno}: {key}"
         if key in harness._RANGE_FIELDS:
-            parts = [float(v) for v in value.split(",")]
+            parts = [_number(float, v, where) for v in value.split(",")]
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: range {key} needs 'lo, hi'")
             out[key] = (parts[0], parts[1])
         elif spec_types.get(key) in ("int", "float"):
-            out[key] = int(value) if spec_types[key] == "int" else float(value)
+            out[key] = _number(int if spec_types[key] == "int" else float, value, where)
         elif key in cfg_fields:
-            overrides[key] = float(value)
+            overrides[key] = _number(float, value, where)
         else:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     if overrides:
@@ -182,8 +192,8 @@ def _fit_samples_file(path: str, family: EarnFamily) -> FitResult:
 
 def _cmd_fit_earnings(args: argparse.Namespace) -> int:
     result = args.fit
-    print(f"family={args.family} alpha={result.params.alpha:.9g} "
-          f"beta={result.params.beta:.9g} sse={result.sse:.6g} "
+    print(f"family={args.family} alpha={result.params.alpha!r} "
+          f"beta={result.params.beta!r} sse={result.sse:.6g} "
           f"status={result.status.value}")
     return 0
 

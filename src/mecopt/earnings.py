@@ -179,8 +179,11 @@ def fit_params(samples: Iterable[Tuple[float, float]], family: EarnFamily) -> Fi
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 5:
         raise ValueError("need at least 5 (x, score) samples")
     x, y = pts[:, 0], pts[:, 1]
-    if np.any(x < 0) or np.any(x > 1):
-        raise ValueError("sample inputs must lie in [0, 1]")
+    outside = ~((x >= 0) & (x <= 1))
+    if outside.any():
+        raise ValueError(f"sample inputs must lie in [0, 1], got {x[outside][0]}")
+    if not np.isfinite(y).all():
+        raise ValueError(f"sample scores must be finite, got {y[~np.isfinite(y)][0]}")
     if np.ptp(y) <= 1e-12 * max(1.0, float(np.max(np.abs(y)))):
         raise DegenerateFitError("scores are constant; no curve shape to fit")
 
@@ -203,7 +206,7 @@ def fit_params(samples: Iterable[Tuple[float, float]], family: EarnFamily) -> Fi
         return sse
 
     grid = _beta_grid(family)
-    i = int(np.argmin([sse_at(beta) for beta in grid]))
+    i = int(np.argmin([sse_at(beta) for beta in grid.tolist()]))
     if best[0] == math.inf:
         raise DegenerateFitError(f"no admissible grid point for the {family.value} family")
 

@@ -8,7 +8,7 @@ point clamped to the allowed range.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -36,14 +36,30 @@ def optimal_resolution(cfg: SystemConfig, users: Sequence[UserProfile],
                          f"expected ({len(users)}, {len(servers)})")
     idx = association.server_indices
     flops = np.array([s.compute_flops for s in servers], dtype=float)
-    rate = _per_user(users, "downlink_rate_bps")
-    per_bit = 1.0 / rate + _per_user(users, "lambda_down_flop_per_bit") \
-        * association.loads[idx] / flops[idx]
+    return _closed_form(cfg, [u.earn_family for u in users],
+                        *_closed_form_inputs(cfg, users, association.loads[idx], flops[idx]))
+
+
+def _closed_form_inputs(cfg: SystemConfig, users: Sequence[UserProfile],
+                        load: np.ndarray, flops: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slope, earn_scale and x_offset arrays _closed_form takes, for
+    users on a server carrying load users at flops FLOP/s.
+
+    The arrays' leading axis is the user, and load and flops broadcast
+    against it: user k's row of load / flops is its server's load over FLOP
+    rate, the only way its server enters its resolution trade-off.
+    """
+    lead = (len(users),) + (1,) * (np.broadcast(load, flops).ndim - 1)
+
+    def per_user(name: str) -> np.ndarray:
+        return _per_user(users, name).reshape(lead)
+
+    rate = per_user("downlink_rate_bps")
+    per_bit = 1.0 / rate + per_user("lambda_down_flop_per_bit") * load / flops
     slope = cfg.eta_lat * cfg.weight_omega \
-        * (STEREO_BITS_PER_PIXEL / _per_user(users, "compression_ratio")) * per_bit
-    return _closed_form(cfg, [u.earn_family for u in users], slope,
-                        cfg.eta_earn * _per_user(users, "earn_scale"),
-                        0.5 * rate / cfg.rate_norm_bps)
+        * (STEREO_BITS_PER_PIXEL / per_user("compression_ratio")) * per_bit
+    return slope, cfg.eta_earn * per_user("earn_scale"), 0.5 * rate / cfg.rate_norm_bps
 
 
 def _closed_form(cfg: SystemConfig, families: Sequence[EarnFamily],

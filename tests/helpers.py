@@ -12,9 +12,8 @@ from mecopt.association import (InstanceTooLargeError, RoundingReport, _batch_ob
                                 _block_cost, _project_assignment, _schur_parts, build_qcqp)
 from mecopt.earnings import EarnFamily, _h_rows
 from mecopt.harness import ScenarioSpec, generate_scenario
-from mecopt.model import (STEREO_BITS_PER_PIXEL, Association, SystemConfig, UserProfile,
-                          _per_user, total_objective)
-from mecopt.resolution import _closed_form, optimal_resolution
+from mecopt.model import Association, SystemConfig, UserProfile, _per_user, total_objective
+from mecopt.resolution import _closed_form, _closed_form_inputs, optimal_resolution
 from mecopt.sdp import _RHO_COLD, SdpSolution, SdpStatus, _check_symmetric, _clamp_negative
 
 BRUTE_FORCE_LIMIT = 1_000_000
@@ -104,36 +103,38 @@ def brute_force_association(cfg, users, servers, resolutions) -> Tuple[Associati
     return Association(best_idx, n_total), best_obj
 
 
+def joint_table(cfg, users, servers):
+    """Each user's exact resolution and objective term on every server at
+    every load, as (K, N, K) arrays indexed [k, n, L - 1].
+
+    User k's term depends only on its server n and that server's load L:
+    its weighted uplink processing latency less resolution_objective at its
+    best resolution, from resolution._closed_form_inputs. The uplink
+    transmission latency, the same under every assignment, is left out.
+    """
+    k_total = len(users)
+    flops = np.array([srv.compute_flops for srv in servers])[None, :, None]
+    load = np.arange(1, k_total + 1)[None, None, :]
+    families = [u.earn_family for u in users]
+    inputs = _closed_form_inputs(cfg, users, load, flops)
+    res = _closed_form(cfg, families, *inputs)
+    uplink_flops = cfg.lambda_up_flop_per_bit * _per_user(users, "uplink_bits")[:, None, None]
+    table = cfg.eta_lat * cfg.weight_omega * uplink_flops * load / flops \
+        - resolution_objective(cfg, families, *inputs, res)
+    return res, table
+
+
 def joint_oracle(cfg, users, servers, powers):
     """Exact joint optimum with powers fixed, as nested_brute_force returns it,
     without enumerating assignments.
 
-    User k's objective term depends only on its server n and that server's
-    load L, so it is tabulated at its exact resolution for every (k, n, L)
-    in one array evaluation; the uplink latency, the same under every
-    assignment, is left out of the table. For each load vector summing to K, the best assignment matches
-    the users to the load slots (L_n slots of server n, each at cost
-    table[:, n, L_n]) by one linear assignment. The best load vector's
+    For each load vector summing to K, the best assignment matches the users
+    to the load slots (L_n slots of server n, each at cost
+    table[:, n, L_n - 1] of joint_table) by one linear assignment. The best load vector's
     allocation is evaluated by total_objective.
     """
     k_total, n_total = len(users), len(servers)
-    families = [u.earn_family for u in users]
-
-    def per_user(name):
-        return _per_user(users, name)[:, None, None]
-
-    rate = per_user("downlink_rate_bps")
-    flops = np.array([srv.compute_flops for srv in servers])[None, :, None]
-    load = np.arange(1, k_total + 1)[None, None, :]
-    slope = cfg.eta_lat * cfg.weight_omega \
-        * (STEREO_BITS_PER_PIXEL / per_user("compression_ratio")) \
-        * (1.0 / rate + per_user("lambda_down_flop_per_bit") * load / flops)
-    earn_scale = cfg.eta_earn * per_user("earn_scale")
-    x_offset = 0.5 * rate / cfg.rate_norm_bps
-    res = _closed_form(cfg, families, slope, earn_scale, x_offset)
-    uplink_flops = cfg.lambda_up_flop_per_bit * per_user("uplink_bits")
-    table = cfg.eta_lat * cfg.weight_omega * uplink_flops * load / flops \
-        - resolution_objective(cfg, families, slope, earn_scale, x_offset, res)
+    res, table = joint_table(cfg, users, servers)
     best = (np.inf, None)
     for bars in itertools.combinations(range(k_total + n_total - 1), n_total - 1):
         loads = np.diff(np.array([-1, *bars, k_total + n_total - 1])) - 1

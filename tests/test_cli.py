@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mecopt.cli import DEFAULT_GRIDS, build_spec, main, parse_config_file
-from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, eval_earning
+from mecopt import earnings
+from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, EarnParams, eval_earning, fit_params
 from helpers import README_CSV_HEADER
 
 
@@ -147,12 +148,37 @@ def test_fit_earnings_roundtrip(tmp_path, capsys):
     assert "status=converged" in out
 
 
+@pytest.mark.parametrize("golden_steps", [earnings._GOLDEN_STEPS, 0],
+                         ids=["converged", "grid-only"])
+def test_fit_earnings_prints_params_that_construct_the_fit(golden_steps, tmp_path,
+                                                          capsys, monkeypatch):
+    # the power fit of score = 3x has beta just under 1, which a rounded
+    # print turns into a beta EarnParams refuses; a grid-only fit returns
+    # a grid point
+    monkeypatch.setattr(earnings, "_GOLDEN_STEPS", golden_steps)
+    samples = [(float(x), 3.0 * float(x)) for x in np.linspace(0.0, 1.0, 50)]
+    path = tmp_path / "samples.txt"
+    path.write_text("".join(f"{x!r},{score!r}\n" for x, score in samples))
+    assert main(["fit-earnings", "--family", "pow", "--samples", str(path)]) == 0
+    fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+    printed = EarnParams(EarnFamily(fields["family"]), float(fields["alpha"]),
+                         float(fields["beta"]))
+    assert printed == fit_params(samples, EarnFamily.POW).params
+
+
+_FIVE_SAMPLES = "".join(f"0.{i},{i}.5\n" for i in range(1, 6))
+
+
 @pytest.mark.parametrize("text, message", [
     (None, "No such file"),
     ("0.1,1.0\n0.2\n", "line 2: expected 'x,score', got '0.2'"),
     ("0.1,1.0\n0.2,2.0\n", "need at least 5"),
     ("".join(f"0.{i},3.0\n" for i in range(1, 7)), "scores are constant"),
-], ids=["missing", "not-a-pair", "too-few", "constant"])
+    (_FIVE_SAMPLES + "nan,1.0\n", "sample inputs must lie in [0, 1], got nan"),
+    (_FIVE_SAMPLES + "0.6,nan\n", "sample scores must be finite, got nan"),
+    (_FIVE_SAMPLES + "0.6,inf\n", "sample scores must be finite, got inf"),
+], ids=["missing", "not-a-pair", "too-few", "constant", "nan-input", "nan-score",
+        "inf-score"])
 def test_bad_samples_file_is_an_argparse_error(text, message, tmp_path, capsys):
     path = tmp_path / "samples.txt"
     if text is not None:
@@ -180,6 +206,20 @@ def test_config_file_parsing(tmp_path):
     assert parsed["tau"] == (0.8, 1.2)
     assert parsed["config_overrides"] == {"weight_omega": 3.25}
     assert parsed["cell_radius_km"] == 0.4
+
+
+@pytest.mark.parametrize("text, where", [
+    ("num_users = 7.5\n", ":1: num_users: expected an integer, got '7.5'"),
+    ("seed = 3\ntau = 0.5, abc\n", ":2: tau: expected a number, got 'abc'"),
+    ("# speed\n\nweight_omega = fast\n", ":3: weight_omega: expected a number, got 'fast'"),
+], ids=["int", "range", "override"])
+def test_config_value_errors_name_the_line_and_key(text, where, tmp_path, capsys):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"--config {cfg}: {cfg}{where}" in capsys.readouterr().err
 
 
 def test_config_file_rejects_unknown_key(tmp_path):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, fit_params
-from mecopt.model import Association, total_objective
+from mecopt.model import Association, evaluate_allocation, total_objective
+from mecopt.power import optimal_power
 from mecopt.resolution import _closed_form, optimal_resolution
-from helpers import make_cfg, random_one_hot, resolution_objective, small_scenario
+from helpers import joint_table, make_cfg, random_one_hot, resolution_objective, small_scenario
 
 FAMILIES = list(EarnFamily)
 
@@ -70,6 +71,51 @@ def test_mismatched_association_is_rejected():
                   Association([0, 1, 0, 2], 3)):
         with pytest.raises(ValueError, match="association has shape"):
             optimal_resolution(cfg, users, servers, assoc)
+
+
+# the AC05 desk set and three 40x8 scenarios, as (seed, users, servers, omega)
+TABLE_CASES = [(seed, 20, 5, 2.75) for seed in range(5000, 5006)] \
+    + [(seed, 40, 8, 1.0) for seed in range(7000, 7003)]
+
+
+@pytest.mark.parametrize("seed, num_users, num_servers, omega", TABLE_CASES)
+def test_joint_table_prices_every_association(seed, num_users, num_servers, omega):
+    # picking each user's entry at its server and load, and adding back the
+    # uplink transmission latency the table leaves out, gives total_objective
+    # at the resolutions optimal_resolution returns
+    cfg, users, servers = small_scenario(seed, num_users, num_servers, weight_omega=omega)
+    res, table = joint_table(cfg, users, servers)
+    powers = np.array([optimal_power(cfg, u).p_star for u in users])
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        assoc = random_one_hot(rng, num_users, num_servers)
+        idx = assoc.server_indices
+        picked = (np.arange(num_users), idx, assoc.loads[idx] - 1)
+        s = optimal_resolution(cfg, users, servers, assoc)
+        assert np.array_equal(s, res[picked])
+        alloc = evaluate_allocation(cfg, users, servers, powers, s, assoc)
+        value = table[picked].sum() \
+            + cfg.eta_lat * cfg.weight_omega * alloc.latency_up_s.sum()
+        assert value == pytest.approx(alloc.objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, num_users, num_servers, omega", TABLE_CASES)
+def test_joint_table_rows_are_nondecreasing_and_concave_in_price(seed, num_users,
+                                                                 num_servers, omega):
+    # a user's term is a minimum over resolutions of functions affine in its
+    # server's price load / FLOPs with nonnegative slopes, so on the sorted
+    # price grid each row never falls and its slopes never rise beyond roundoff
+    cfg, users, servers = small_scenario(seed, num_users, num_servers, weight_omega=omega)
+    _, table = joint_table(cfg, users, servers)
+    flops = np.array([srv.compute_flops for srv in servers])
+    price = (np.arange(1, num_users + 1)[None, :] / flops[:, None]).ravel()
+    order = np.argsort(price)
+    step = np.diff(price[order])
+    assert np.all(step > 0), "the slopes need distinct prices"
+    rise = np.diff(table.reshape(num_users, -1)[:, order], axis=1)
+    assert np.all(rise >= 0)
+    slopes = rise / step
+    assert np.all(slopes[:, 1:] <= slopes[:, :-1] * (1 + 1e-6))
 
 
 def _coefficients(count, slope=2e-7, earn_scale=1.0, x_offset=0.375):
