@@ -16,8 +16,8 @@ then h; Fukuda et al., SIAM J. Optim. 2001), and the rest is a polytope with
 a closed-form projection (per-user simplices across the N borders, fixed
 corners, a one-threshold water-fill of the diagonals), which solve_sdp
 splits against the cone. Rounding samples B, the blocks' PSD completion,
-one server block at a time, and scores the sampled candidates _SCORE_ROWS
-at a time; the dense B is built only when read.
+one server block at a time, and scores every candidate in one array; the
+dense B is built only when read.
 """
 
 from __future__ import annotations
@@ -227,9 +227,6 @@ def solve_association_sdr(inst: QcqpInstance, tol: float = 1e-6,
     return SdrResult(solve_sdp(_block_cost(inst), _project_assignment, tol=tol, max_iter=max_iter))
 
 
-_SCORE_ROWS = 128  # sampled candidates per _batch_objectives call in the rounding
-
-
 @dataclass(frozen=True)
 class RoundingReport:
     num_samples: int
@@ -271,17 +268,18 @@ def gaussian_randomize(inst: QcqpInstance, x: np.ndarray,
     Draws num_samples vectors from the Gaussian whose second moment is the
     stack's PSD completion (SdrResult.b_star) one server at a time, folding
     each server's draws into a running maximum, and gives each user the
-    server of its largest entry (ties to the lowest index). The candidate
-    read off the completion's diagonal, b_kn^2 + S_n[k, k], is the first
-    incumbent, so num_samples = 0 still yields a report. The samples are
-    then scored _SCORE_ROWS at a time and replace the incumbent only when
-    strictly better, so ties go to the earliest candidate. Candidates are
-    ranked by their true compute latency (s); the bound is Tr(C X).
+    server of its largest entry (ties to the lowest index). Every candidate
+    is a row of one array: row 0 is read off the completion's diagonal,
+    b_kn^2 + S_n[k, k], so num_samples = 0 still yields a report, and rows
+    1.. are the samples in draw order. One _batch_objectives call ranks them
+    by their true compute latency (s), and the first minimum wins, so ties go
+    to the diagonal candidate, then to the earliest sample. The bound is
+    Tr(C X).
 
-    The working set is three (num_samples, K) float64 arrays, the running
-    maximum and _lifted_draws' two buffers, plus the picked servers, one
-    (num_samples, K) array of the smallest unsigned type that holds N - 1;
-    scoring a block adds O(_SCORE_ROWS (K + N)).
+    The fold's working set is three (num_samples, K) float64 arrays, the
+    running maximum and _lifted_draws' two buffers, which are released before
+    scoring; the candidates are one (num_samples + 1, K) array of the
+    smallest unsigned type that holds N - 1.
     """
     if num_samples < 0:
         raise ValueError("num_samples must be nonnegative")
@@ -290,31 +288,29 @@ def gaussian_randomize(inst: QcqpInstance, x: np.ndarray,
     if x.shape != shape:
         raise ValueError(f"relaxation stack shape {x.shape} != {shape}")
     border, schur = _schur_parts(x)
-    best = np.argmax(border * border + np.diagonal(schur, axis1=1, axis2=2), axis=0)
-    best_objective = _batch_objectives(inst, best)[0]
+    candidates = np.zeros((num_samples + 1, inst.num_users),
+                          dtype=np.min_scalar_type(inst.num_servers - 1))
+    candidates[0] = np.argmax(border * border + np.diagonal(schur, axis1=1, axis2=2), axis=0)
     if num_samples:
-        draws = _lifted_draws(border, schur, num_samples, rng_seed)[1]
-        top = next(draws).copy()
-        pick = np.zeros(top.shape, dtype=np.min_scalar_type(inst.num_servers - 1))
-        for n, x_n in enumerate(draws, 1):
+        pick = candidates[1:]
+        top = np.full(pick.shape, -np.inf)
+        for n, x_n in enumerate(_lifted_draws(border, schur, num_samples, rng_seed)[1]):
             # x_n > top is strict, so ties keep the lowest server, as argmax
             # does; n exceeds every earlier pick, so the maximum writes n
             # exactly where x_n is better, without a (slower) masked write.
             # n in pick's type keeps the product as narrow as pick.
             np.maximum(pick, (x_n > top) * pick.dtype.type(n), out=pick)
             np.maximum(top, x_n, out=top)
-        for start in range(0, num_samples, _SCORE_ROWS):
-            objs = _batch_objectives(inst, pick[start:start + _SCORE_ROWS])
-            i = int(np.argmin(objs))
-            if objs[i] < best_objective:
-                best_objective, best = objs[i], pick[start + i]
+        del top, x_n  # the draws are exhausted, so this frees their buffers
+    objs = _batch_objectives(inst, candidates)
+    best = int(np.argmin(objs))
     bound = float((_block_cost(inst) * x).sum())
     return RoundingReport(
         num_samples=num_samples,
-        best_objective=float(best_objective),
-        best_assoc=Association(best, inst.num_servers),
+        best_objective=float(objs[best]),
+        best_assoc=Association(candidates[best], inst.num_servers),
         sdr_lower_bound=bound,
-        gap=(float(best_objective) - bound) / max(abs(bound), 1e-300),
+        gap=(float(objs[best]) - bound) / max(abs(bound), 1e-300),
     )
 
 

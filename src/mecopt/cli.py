@@ -99,7 +99,7 @@ def build_spec(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = build_spec(args)
+    spec = args.spec
     cfg, users, servers = generate_scenario(spec)
     if args.omega is not None:
         cfg = dataclasses.replace(cfg, weight_omega=args.omega)
@@ -132,7 +132,7 @@ def float_list(text: str) -> List[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = build_spec(args)
+    spec = args.spec
     kind = SweepKind(args.kind)
     grid = args.grid or DEFAULT_GRIDS[kind]
     rows = run_sweep(kind, spec, args.methods.split(","), grid, num_seeds=args.seeds,
@@ -143,7 +143,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> int:
-    spec = build_spec(args)
+    spec = args.spec
     rng = np.random.default_rng(spec.seed)
     within = 0
     bound_ok = 0
@@ -259,11 +259,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             solving.error(f"MECOPT_SEED must be an integer, got {os.environ['MECOPT_SEED']!r}")
         if env_seed < 0:
             solving.error(f"MECOPT_SEED must be at least 0, got {env_seed}")
-        if args.config:
-            try:
-                harness._spec_config(build_spec(args))
-            except (OSError, ValueError) as exc:
-                solving.error(f"--config {args.config}: {exc}")
+        try:
+            args.spec = build_spec(args)
+            if args.config:
+                harness._spec_config(args.spec)
+        except (OSError, ValueError) as exc:
+            solving.error(f"--config {args.config}: {exc}")
     if args.command == "run" and args.omega is not None \
             and not (math.isfinite(args.omega) and args.omega > 0):
         p_run.error("--omega must be finite and positive")
@@ -278,7 +279,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           f"{','.join(harness.METHODS)}")
         kind = SweepKind(args.kind)
         try:
-            check_grid(kind, build_spec(args), args.grid or DEFAULT_GRIDS[kind])
+            check_grid(kind, args.spec, args.grid or DEFAULT_GRIDS[kind])
         except ValueError as exc:
             p_sweep.error(f"--grid: {exc}")
     if args.command == "oracle-compare" and min(args.max_users, args.max_servers) < 2:

@@ -173,7 +173,10 @@ def fit_params(samples: Iterable[Tuple[float, float]], family: EarnFamily) -> Fi
     inadmissible, so the power fit stays below beta = 1. The best point
     evaluated is returned. Its status is ``CONVERGED`` once the bracket has
     closed to 1e-12 relative within ``_GOLDEN_STEPS`` steps, and
-    ``GRID_ONLY`` otherwise.
+    ``GRID_ONLY`` otherwise or when the best beta is an end of the grid,
+    where no stationary point was shown. Every family is increasing, so
+    scores with no positive least-squares alpha at any grid beta raise
+    DegenerateFitError.
     """
     pts = np.asarray(list(samples), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 5:
@@ -208,7 +211,9 @@ def fit_params(samples: Iterable[Tuple[float, float]], family: EarnFamily) -> Fi
     grid = _beta_grid(family)
     i = int(np.argmin([sse_at(beta) for beta in grid.tolist()]))
     if best[0] == math.inf:
-        raise DegenerateFitError(f"no admissible grid point for the {family.value} family")
+        raise DegenerateFitError(
+            f"the least-squares alpha of the {family.value} family is not positive at any "
+            "grid beta; every family is increasing, so it cannot fit scores that fall as x rises")
 
     lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
     status = FitStatus.GRID_ONLY
@@ -222,5 +227,7 @@ def fit_params(samples: Iterable[Tuple[float, float]], family: EarnFamily) -> Fi
             status = FitStatus.CONVERGED
             break
     sse, params = best
+    if params.beta in (grid[0], grid[-1]):
+        status = FitStatus.GRID_ONLY
     return FitResult(params, sse, status)
 

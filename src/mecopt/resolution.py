@@ -13,8 +13,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .earnings import EarnFamily, _family_masks, _peak_input
-from .model import (STEREO_BITS_PER_PIXEL, Association, ServerProfile,
-                    SystemConfig, UserProfile, _per_user)
+from .model import (Association, ServerProfile, SystemConfig, UserProfile,
+                    _downlink_bits, _per_user)
 
 __all__ = ["optimal_resolution"]
 
@@ -57,8 +57,7 @@ def _closed_form_inputs(cfg: SystemConfig, users: Sequence[UserProfile],
 
     rate = per_user("downlink_rate_bps")
     per_bit = 1.0 / rate + per_user("lambda_down_flop_per_bit") * load / flops
-    slope = cfg.eta_lat * cfg.weight_omega \
-        * (STEREO_BITS_PER_PIXEL / per_user("compression_ratio")) * per_bit
+    slope = cfg.eta_lat * cfg.weight_omega * _downlink_bits(users, 1.0).reshape(lead) * per_bit
     return slope, cfg.eta_earn * per_user("earn_scale"), 0.5 * rate / cfg.rate_norm_bps
 
 

@@ -378,7 +378,7 @@ def test_streamed_rounding_equals_the_batched_draw(rng):
             x = np.broadcast_to(np.outer(b, b), (n, k + 1, k + 1))
         else:
             x = solve_association_sdr(inst, tol=3e-4, max_iter=(10, 300)[i % 2]).solution.x
-        for samples in (0, 1, 7, 1000):
+        for samples in (0, 1, 7, 128, 129, 1000):
             for seed in (i, 1000 + i):
                 got = gaussian_randomize(inst, x, samples, rng_seed=seed)
                 ref = batched_gaussian_randomize(inst, x, samples, rng_seed=seed)
@@ -402,6 +402,24 @@ def test_rounding_memory_does_not_grow_with_servers():
     finally:
         tracemalloc.stop()
     assert peak < n * samples * k * 8
+
+
+def test_rounding_scores_every_candidate_in_one_call(monkeypatch):
+    calls = []
+    batch_objectives = association._batch_objectives
+
+    def counted(inst, indices):
+        calls.append(np.atleast_2d(indices).shape)
+        return batch_objectives(inst, indices)
+
+    monkeypatch.setattr(association, "_batch_objectives", counted)
+    cfg, users, servers = small_scenario(81, 10, 4)
+    inst = build_qcqp(cfg, users, servers, np.full(10, cfg.s_min_px))
+    x = solve_association_sdr(inst, max_iter=50).solution.x
+    for samples in (0, 1000):
+        calls.clear()
+        gaussian_randomize(inst, x, samples, rng_seed=3)
+        assert calls == [(samples + 1, 10)]
 
 
 def test_streamed_rounding_equals_the_batched_draw_past_256_or_on_equal_servers():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mecopt.cli import DEFAULT_GRIDS, build_spec, main, parse_config_file
-from mecopt import earnings
+from mecopt import cli, earnings
 from mecopt.earnings import DEFAULT_PARAMS, EarnFamily, EarnParams, eval_earning, fit_params
 from helpers import README_CSV_HEADER
 
@@ -220,6 +220,23 @@ def test_config_value_errors_name_the_line_and_key(text, where, tmp_path, capsys
         main(["run", "--config", str(cfg)])
     assert exc.value.code == 2
     assert f"--config {cfg}: {cfg}{where}" in capsys.readouterr().err
+
+
+def test_sweep_reads_its_config_file_once(tmp_path, monkeypatch):
+    cfg = tmp_path / "scenario.conf"
+    cfg.write_text("num_servers = 2\nweight_omega = 2.0\n")
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return parse_config_file(path)
+
+    monkeypatch.setattr(cli, "parse_config_file", counted)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--kind", "omega", "--methods", "random", "--grid", "1.0",
+                 "--users", "2", "--seeds", "1", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert calls == [str(cfg)]
 
 
 def test_config_file_rejects_unknown_key(tmp_path):

@@ -77,6 +77,23 @@ def test_fit_rejects_constant_scores():
         fit_params(samples, EarnFamily.LOG)
 
 
+def test_fit_pinned_at_a_grid_end_is_grid_only():
+    # on falling scores the best pow and log curves are the flattest and the
+    # sharpest the grid holds, so no stationary point was found
+    xs = np.linspace(0.05, 1.0, 20)
+    for family, beta in ((EarnFamily.POW, 0.01), (EarnFamily.LOG, 1000.0)):
+        result = fit_params(list(zip(xs, 1.0 - xs)), family)
+        assert result.params.beta == beta
+        assert result.status is FitStatus.GRID_ONLY
+
+
+@pytest.mark.parametrize("family", list(EarnFamily))
+def test_fit_rejects_scores_no_increasing_curve_fits(family):
+    xs = np.linspace(0.05, 1.0, 20)
+    with pytest.raises(DegenerateFitError, match="alpha .* is not positive at any grid beta"):
+        fit_params(list(zip(xs, -xs)), family)
+
+
 def test_fit_rejects_tiny_sample_sets():
     with pytest.raises(ValueError):
         fit_params([(0.1, 1.0), (0.2, 2.0)], EarnFamily.POW)
