@@ -17,6 +17,11 @@ A metric whose change median reads worse than the parent's is marked
 ``WORSE``, followed by ``beyond spread`` if the two medians lie farther apart
 than the parent's interquartile spread and ``within spread`` if not. Which
 way is better comes from the parent's BENCHMARK.json.
+
+Last, one verdict per metric, against the metric's relative ``bound`` in the
+parent's BENCHMARK.json (see ``verdict``): ``worse beyond bound``,
+``unresolved``, ``gain`` or ``ok``.
+
 The exit code is 1 if any run exited non-zero, failed a check or counted a
 failed operation.
 """
@@ -68,6 +73,36 @@ def beyond_spread(parent: List[float], change_median: float) -> bool:
     return abs(change_median - statistics.median(parent)) > q3 - q1
 
 
+def _better(a: float, b: float, way: str) -> bool:
+    return a < b if way == "lower" else a > b
+
+
+def verdict(parent: List[float], change: List[float], way: str, bound: float) -> str:
+    """The verdict on one end-to-end metric from paired runs: parent[i] and
+    change[i] come from pair i, way is "lower" or "higher" and bound is
+    relative to the parent's median.
+
+    ``worse beyond bound`` if the change's median is worse than the
+    parent's by more than bound times the parent's median; else
+    ``unresolved`` if the parent's interquartile spread exceeds that same
+    share of its median, unless every change run beats every parent run;
+    else ``gain`` if the change wins at least 9 of 10 pairs and its median
+    is better by more than the parent's spread; else ``ok``.
+    """
+    mp, mc = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent)
+    worse_by = mc - mp if way == "lower" else mp - mc
+    if worse_by > bound * abs(mp):
+        return "worse beyond bound"
+    if q3 - q1 > bound * abs(mp) \
+            and not all(_better(c, p, way) for c in change for p in parent):
+        return "unresolved"
+    wins = sum(_better(c, p, way) for p, c in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and -worse_by > q3 - q1:
+        return "gain"
+    return "ok"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -84,10 +119,10 @@ def main(argv=None) -> int:
             parser.error(f"{side} {path} has no bench/run.py")
     spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     values: Dict[str, Dict[str, List[float]]] = {"parent": {}, "change": {}}
-    wins = {name: 0 for name in better}
-    ratios: Dict[str, List[float]] = {name: [] for name in better}
+    paired: Dict[str, Tuple[List[float], List[float]]] = {name: ([], []) for name in better}
     status = 0
     for i in range(args.pairs):
         seed = args.seed + i
@@ -100,12 +135,10 @@ def main(argv=None) -> int:
         for side in sides:
             for name, m in metrics[side].items():
                 values[side].setdefault(name, []).append(m["value"])
-        for name, way in better.items():
+        for name in better:
             if name in metrics["parent"] and name in metrics["change"]:
-                p, c = metrics["parent"][name]["value"], metrics["change"][name]["value"]
-                wins[name] += (c < p) if way == "lower" else (c > p)
-                if p:
-                    ratios[name].append(c / p)
+                paired[name][0].append(metrics["parent"][name]["value"])
+                paired[name][1].append(metrics["change"][name]["value"])
         same = {key: ("n/a" if key not in runs["parent"][2]
                       else runs["parent"][2][key] == runs["change"][2].get(key))
                 for key in ("utility_sum", "csv_sha256")}
@@ -125,12 +158,19 @@ def main(argv=None) -> int:
         mp, mc = statistics.median(p), statistics.median(c)
         worse = mc > mp if way == "lower" else mc < mp
         spread = "beyond" if beyond_spread(p, mc) else "within"
-        r = ratios[name] or [float("nan")]
+        pairs = list(zip(*paired[name]))
+        wins = sum(_better(pc, pp, way) for pp, pc in pairs)
+        r = [pc / pp for pp, pc in pairs if pp] or [float("nan")]
         r1, r3 = quartiles(r)
         print(f"  {name} ({way} is better): {mp:.6g} -> {mc:.6g} "
-              f"[{q1:.6g}-{q3:.6g}, {q3 - q1:.3g}], {wins[name]}/{args.pairs}, "
+              f"[{q1:.6g}-{q3:.6g}, {q3 - q1:.3g}], {wins}/{args.pairs}, "
               f"ratio {statistics.median(r):.4g} [{r1:.4g}-{r3:.4g}]"
               f"{f'  WORSE, {spread} spread' if worse else ''}")
+    print("verdicts (relative bounds from the parent's BENCHMARK.json):")
+    for name, way in better.items():
+        p, c = paired[name]
+        print(f"  {name} (bound {bounds[name]:g}): "
+              f"{verdict(p, c, way, bounds[name]) if p else 'no values'}")
     return status
 
 

@@ -27,8 +27,9 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .model import Association, SystemConfig, ServerProfile, UserProfile, user_task_flops
-from .sdp import SdpSolution, _check_symmetric, project_psd, solve_sdp
+from .model import (Association, SystemConfig, ServerProfile, UserProfile, _compute_latency,
+                    user_task_flops)
+from .sdp import SdpSolution, _check_symmetric, _clamp_negative, solve_sdp
 
 __all__ = [
     "QcqpInstance",
@@ -122,14 +123,8 @@ def build_qcqp(cfg: SystemConfig, users: Sequence[UserProfile],
 
 
 def _batch_objectives(inst: QcqpInstance, indices: np.ndarray) -> np.ndarray:
-    """Total compute latency (s) for each row of server indices."""
-    indices = np.atleast_2d(indices)
-    rows, n = indices.shape[0], inst.num_servers
-    counts = np.bincount((np.arange(rows)[:, None] * n + indices).ravel(),
-                         minlength=rows * n).reshape(rows, n)
-    per_user = inst.task_flops * counts[np.arange(rows)[:, None], indices] \
-        / inst.server_flops[indices]
-    return per_user.sum(axis=1)
+    """Total compute latency (s) for each row of a (rows, K) array of server indices."""
+    return _compute_latency(inst.task_flops, inst.server_flops, indices).sum(axis=1)
 
 
 def association_objective(inst: QcqpInstance, association: Association) -> float:
@@ -148,9 +143,13 @@ def _block_cost(inst: QcqpInstance) -> np.ndarray:
 
 def _schur_parts(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The border b (N, K) of a block stack and each block's Schur complement
-    X_n[:K, :K] - b_n b_n' projected onto the PSD cone, S_n (N, K, K)."""
+    X_n[:K, :K] - b_n b_n' projected onto the PSD cone, S_n (N, K, K).
+
+    x must be exactly symmetric, as gaussian_randomize's checked input and
+    solve_sdp's output are; the complement then is too, so it goes to the
+    cone step without another check."""
     border = x[:, :-1, -1]
-    return border, project_psd(x[:, :-1, :-1] - border[:, :, None] * border[:, None, :])
+    return border, _clamp_negative(x[:, :-1, :-1] - border[:, :, None] * border[:, None, :])
 
 
 def _completion(x: np.ndarray) -> np.ndarray:

@@ -162,6 +162,11 @@ _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 _GOLDEN_STEPS = 100
 
 
+def _is_constant(v: np.ndarray) -> bool:
+    """Whether v's entries agree to roundoff, relative to its largest."""
+    return bool(np.ptp(v) <= 1e-12 * max(1.0, float(np.max(np.abs(v)))))
+
+
 def fit_params(samples: Iterable[Tuple[float, float]], family: EarnFamily) -> FitResult:
     """Least-squares (alpha, beta) fit of one family to (x, score) samples.
 
@@ -173,8 +178,10 @@ def fit_params(samples: Iterable[Tuple[float, float]], family: EarnFamily) -> Fi
     inadmissible, so the power fit stays below beta = 1. The best point
     evaluated is returned. Its status is ``CONVERGED`` once the bracket has
     closed to 1e-12 relative within ``_GOLDEN_STEPS`` steps, and
-    ``GRID_ONLY`` otherwise or when the best beta is an end of the grid,
-    where no stationary point was shown. Every family is increasing, so
+    ``GRID_ONLY`` otherwise, when the best beta is an end of the grid, or
+    when the best beta's curve is constant on the samples to roundoff, where
+    the SSE is flat and the bracket closes anywhere on the plateau: in
+    those cases no stationary point was shown. Every family is increasing, so
     scores with no positive least-squares alpha at any grid beta raise
     DegenerateFitError.
     """
@@ -187,14 +194,14 @@ def fit_params(samples: Iterable[Tuple[float, float]], family: EarnFamily) -> Fi
         raise ValueError(f"sample inputs must lie in [0, 1], got {x[outside][0]}")
     if not np.isfinite(y).all():
         raise ValueError(f"sample scores must be finite, got {y[~np.isfinite(y)][0]}")
-    if np.ptp(y) <= 1e-12 * max(1.0, float(np.max(np.abs(y)))):
+    if _is_constant(y):
         raise DegenerateFitError("scores are constant; no curve shape to fit")
 
-    best = (math.inf, None)
+    best = (math.inf, None, None)
 
     def sse_at(beta: float) -> float:
         """The SSE at beta's optimal alpha, inf where EarnParams rejects
-        either; the best (sse, params) seen is kept."""
+        either; the best (sse, params, curve at alpha = 1) seen is kept."""
         nonlocal best
         try:
             f = _h(EarnParams(family, 1.0, beta), x)
@@ -205,7 +212,7 @@ def fit_params(samples: Iterable[Tuple[float, float]], family: EarnFamily) -> Fi
         r = params.alpha * f - y
         sse = float(r @ r)
         if sse < best[0]:
-            best = (sse, params)
+            best = (sse, params, f)
         return sse
 
     grid = _beta_grid(family)
@@ -226,8 +233,8 @@ def fit_params(samples: Iterable[Tuple[float, float]], family: EarnFamily) -> Fi
         if hi - lo <= 1e-12 * hi:
             status = FitStatus.CONVERGED
             break
-    sse, params = best
-    if params.beta in (grid[0], grid[-1]):
+    sse, params, curve = best
+    if params.beta in (grid[0], grid[-1]) or _is_constant(curve):
         status = FitStatus.GRID_ONLY
     return FitResult(params, sse, status)
 

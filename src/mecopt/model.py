@@ -6,6 +6,9 @@ processor-share rule of the assigned edge server, and per-user utility is the
 weighted difference between earnings and total latency. evaluate_allocation
 is the one place that formula is computed, for all users at once;
 total_objective is its objective and user_earnings its earnings term.
+_compute_latency is the one place the compute latency T_k * L_n / f_n is
+written: evaluate_allocation reads one row of it, and the association
+subproblem sums many candidate rows.
 """
 
 from __future__ import annotations
@@ -222,6 +225,16 @@ def user_earnings(cfg: SystemConfig, users: Sequence[UserProfile],
     return _per_user(users, "earn_scale") * _h_rows([u.earn_family for u in users], x)
 
 
+def _compute_latency(task_flops: np.ndarray, server_flops: np.ndarray,
+                     indices: np.ndarray) -> np.ndarray:
+    """Each user's compute latency (s) for each row of a (rows, K) array of
+    server indices: T_k * L_n / f_n, with n user k's server in that row and
+    L_n that server's user count in it (equal processor shares)."""
+    rows, n = np.arange(indices.shape[0])[:, None], server_flops.size
+    counts = np.bincount((rows * n + indices).ravel(), minlength=rows.size * n).reshape(-1, n)
+    return task_flops * counts[rows, indices] / server_flops[indices]
+
+
 def total_objective(cfg: SystemConfig, users: Sequence[UserProfile],
                     servers: Sequence[ServerProfile], powers: Sequence[float],
                     resolutions: Sequence[float], association: Association) -> float:
@@ -288,10 +301,9 @@ def evaluate_allocation(cfg: SystemConfig, users: Sequence[UserProfile],
     l_up = _per_user(users, "uplink_bits") \
         / np.array([uplink_rate(cfg, u, p) for u, p in zip(users, powers)])
     l_down = _downlink_bits(users, resolutions) / _per_user(users, "downlink_rate_bps")
-    idx = association.server_indices
-    flops = np.array([s.compute_flops for s in servers], dtype=float)
-    l_proc = user_task_flops(cfg, users, resolutions) \
-        * association.loads[idx] / flops[idx]
+    l_proc = _compute_latency(user_task_flops(cfg, users, resolutions),
+                              np.array([s.compute_flops for s in servers], dtype=float),
+                              association.server_indices[None, :])[0]
     earn = user_earnings(cfg, users, resolutions)
     utility = cfg.eta_earn * earn \
         - cfg.eta_lat * cfg.weight_omega * (l_up + l_down + l_proc)

@@ -127,14 +127,14 @@ def solve_joint(cfg: SystemConfig, users: Sequence[UserProfile],
             assoc = candidate
 
         resolutions = optimal_resolution(cfg, users, servers, assoc)
-        f_new = total_objective(cfg, users, servers, powers, resolutions, assoc)
+        alloc = evaluate_allocation(cfg, users, servers, powers, resolutions, assoc)
+        f_new = alloc.objective
         values.append(f_new)
         if abs(f_new - f_prev) <= _TOL_REL * abs(f_prev):
             break
         f_prev = f_new
 
-    return (evaluate_allocation(cfg, users, servers, powers, resolutions, assoc),
-            SolveTrace(values, accepted, replace(sol, x=None), report))
+    return alloc, SolveTrace(values, accepted, replace(sol, x=None), report)
 
 
 _BASELINE_SEED_TAG = {

@@ -13,6 +13,11 @@ that function's output, so the stopping test checks only the two splitting
 residuals and the cone. The association relaxation passes its assignment
 polytope. An iteration costs one batched eigendecomposition, after which
 only the negative eigenpairs are subtracted, plus elementwise work.
+
+Symmetry is established once, at the public entry points: project_psd and
+solve_sdp check their input and take its symmetric part. Everything after
+that is exactly symmetric by construction (solve_sdp's projection must keep
+it so), so the cone step trusts its input and does not symmetrize it again.
 """
 
 from __future__ import annotations
@@ -52,29 +57,30 @@ def _check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _clamp_negative(v: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix to the symmetric part of v (each block's, for a
-    stack), or v itself when that part is PSD already.
+    """Nearest PSD matrix to v (to each block, for a stack), or v itself
+    when it is PSD already. v must be exactly symmetric: eigh reads one
+    triangle only, and nothing here symmetrizes it again.
 
-    With sym = V diag(w) V' and w_1..w_k the negative eigenvalues, the
-    projection is sym - V_k diag(w_k) V_k', so only k eigenpairs are
+    With v = V diag(w) V' and w_1..w_k the negative eigenvalues, the
+    projection is v - V_k diag(w_k) V_k', so only k eigenpairs are
     multiplied out (k the most any block has; a block with fewer adds
     zeros). The subtracted term is symmetrized, so the result is exactly
     symmetric.
     """
-    sym = 0.5 * (v + v.swapaxes(-1, -2))
-    ew, ev = np.linalg.eigh(sym)
+    ew, ev = np.linalg.eigh(v)
     k = int((ew < 0.0).sum(axis=-1).max())
     if k == 0:
         return v
     neg = (ev[..., :k] * np.minimum(ew[..., None, :k], 0.0)) @ ev[..., :k].swapaxes(-1, -2)
     neg += neg.swapaxes(-1, -2)  # numpy buffers the overlapping transposed operand
     neg *= 0.5
-    return sym - neg
+    return v - neg
 
 
 def project_psd(a: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) positive semidefinite matrix to a symmetric input,
-    or to each block of a symmetric (B, d, d) stack."""
+    or to each block of a symmetric (B, d, d) stack. The input is checked
+    and symmetrized here, once, before the cone step."""
     return _clamp_negative(_check_symmetric(a))
 
 
@@ -111,7 +117,8 @@ _RHO_COLD = 0.1  # where the rule settles from 10x4 to 100x20
 def solve_sdp(cost: np.ndarray, project: Callable[[np.ndarray], np.ndarray],
               tol: float = 1e-6, max_iter: int = 20000) -> SdpSolution:
     """Minimize Tr(cost X) over the PSD matrices in the set that project
-    maps onto: project(v) must return the set's nearest point to v.
+    maps onto: project(v) must return the set's nearest point to v, exactly
+    symmetric for a symmetric v, since the cone step trusts that.
 
     cost must be square and symmetric, or a stack of such blocks. Each
     iteration sets x to project(y - u - cost/rho), y to the projection of

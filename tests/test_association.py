@@ -11,7 +11,7 @@ from mecopt.association import (InstanceTooLargeError, QcqpInstance, _project_as
 from mecopt.model import Association, ServerProfile, evaluate_allocation
 from mecopt.optimizer import (BaselineKind, SolveOptions, round_robin_association,
                               run_baseline, solve_joint)
-from mecopt.sdp import SdpStatus
+from mecopt.sdp import SdpStatus, project_psd
 from helpers import (AffineStep, MaskStep, batched_gaussian_randomize, brute_force_association,
                      consensus_sdp, dense_sdr_cost, generic_relaxation, make_cfg, make_user,
                      polytope_violations, random_one_hot, small_scenario)
@@ -79,6 +79,20 @@ def test_quadratic_form_matches_latency_model(rng):
             cfg, users, servers, powers, res, assoc).latency_proc_s.sum()
         assert quad == pytest.approx(total, rel=1e-9)
         assert association_objective(inst, assoc) == pytest.approx(quad, rel=1e-9)
+
+
+def test_allocation_compute_latency_is_the_association_objective(rng):
+    # both read model._compute_latency; AC05's desk set, 50 random assignments
+    scenarios = [small_scenario(seed, 20, 5, weight_omega=2.75) for seed in range(5000, 5006)]
+    for trial in range(50):
+        cfg, users, servers = scenarios[trial % len(scenarios)]
+        res = rng.uniform(cfg.s_min_px, cfg.s_max_px, len(users))
+        assoc = random_one_hot(rng, len(users), len(servers))
+        alloc = evaluate_allocation(cfg, users, servers, [u.power_cap_w for u in users],
+                                    res, assoc)
+        inst = build_qcqp(cfg, users, servers, res)
+        assert alloc.latency_proc_s.sum() == pytest.approx(association_objective(inst, assoc),
+                                                           rel=1e-15)
 
 
 def test_sdr_cost_matches_dense_homogenized_cost(rng):
@@ -344,6 +358,19 @@ def test_rounding_close_to_brute_force(rng):
         _, best = exact_association(inst)
         hits += report.best_objective <= 1.05 * best
     assert hits >= 9
+
+
+def test_schur_parts_equal_the_checked_projection():
+    # the complement of an exactly symmetric stack is exactly symmetric, so
+    # skipping project_psd's check and symmetrization changes no bit
+    for seed in range(5000, 5006):
+        cfg, users, servers = small_scenario(seed, 20, 5, weight_omega=2.75)
+        inst = build_qcqp(cfg, users, servers, np.full(len(users), cfg.s_min_px))
+        x = solve_association_sdr(inst, tol=3e-4, max_iter=2000).solution.x
+        border, schur = association._schur_parts(x)
+        assert np.array_equal(border, x[:, :-1, -1])
+        complement = x[:, :-1, :-1] - border[:, :, None] * border[:, None, :]
+        assert np.array_equal(schur, project_psd(complement))
 
 
 def test_lifted_draws_have_the_completion_as_second_moment():

@@ -87,6 +87,17 @@ def test_fit_pinned_at_a_grid_end_is_grid_only():
         assert result.status is FitStatus.GRID_ONLY
 
 
+def test_fit_on_a_flat_curve_is_grid_only():
+    # on falling scores the best exp curve is so sharp that it is constant on
+    # the samples to roundoff: the SSE is flat there and the bracket closes
+    # on the plateau, which shows no stationary point
+    xs = np.linspace(0.05, 1.0, 20)
+    result = fit_params(list(zip(xs, 1.0 - xs)), EarnFamily.EXP)
+    curve = earnings._h(EarnParams(EarnFamily.EXP, 1.0, result.params.beta), xs)
+    assert np.ptp(curve) <= 1e-12
+    assert result.status is FitStatus.GRID_ONLY
+
+
 @pytest.mark.parametrize("family", list(EarnFamily))
 def test_fit_rejects_scores_no_increasing_curve_fits(family):
     xs = np.linspace(0.05, 1.0, 20)

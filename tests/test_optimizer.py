@@ -187,6 +187,25 @@ def test_joint_solve_runs_one_association_pass(monkeypatch):
     assert max(outer) >= 2, outer
 
 
+def test_joint_solve_evaluates_each_allocation_once(monkeypatch):
+    # the start, then per outer iteration the candidate's test and the new
+    # allocation, whose evaluation is the one returned
+    calls = []
+    for name in ("total_objective", "evaluate_allocation"):
+        def counted(*args, _name=name, _fn=getattr(optimizer, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(optimizer, name, counted)
+    for seed in range(5000, 5003):
+        cfg, users, servers = small_scenario(seed, 20, 5, weight_omega=2.75)
+        calls.clear()
+        alloc, trace = solve_joint(cfg, users, servers, SolveOptions())
+        outer = len(trace.objective_values) - 1
+        assert len(calls) == 1 + 2 * outer, (seed, calls)
+        assert calls[-1] == "evaluate_allocation"
+        assert alloc.objective == trace.objective_values[-1]
+
+
 def test_omega_sweep_solves_one_relaxation_per_scenario(monkeypatch):
     calls = _count_calls(monkeypatch)
     run_sweep(SweepKind.OMEGA, ScenarioSpec(seed=65, num_users=10, num_servers=4),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mecopt import sdp
 from mecopt.association import (_block_cost, _project_assignment, build_qcqp,
                                 solve_association_sdr)
 from mecopt.sdp import (AsymmetricMatrixError, SdpStatus, _clamp_negative, project_psd,
@@ -93,6 +94,29 @@ def test_cone_step_on_a_stack_matches_each_block(rng):
         assert np.abs(got_block - _clamp_negative(block)).max() <= 1e-12
     assert np.array_equal(got, got.swapaxes(1, 2))
     assert np.linalg.eigvalsh(got).min() >= -1e-12
+
+
+def test_cone_step_is_only_given_exactly_symmetric_input(monkeypatch, rng):
+    # _clamp_negative trusts its caller's symmetry: solve_sdp's iterates are
+    # symmetric by construction and project_psd symmetrizes its checked input
+    symmetric = []
+    clamp = sdp._clamp_negative
+
+    def recording(v):
+        symmetric.append(np.array_equal(v, v.swapaxes(-1, -2)))
+        return clamp(v)
+
+    monkeypatch.setattr(sdp, "_clamp_negative", recording)
+    iterations = 0
+    for seed, k, n in ((90, 10, 4), (91, 20, 5), (92, 30, 6)):
+        cfg, users, servers = small_scenario(seed, k, n)
+        inst = build_qcqp(cfg, users, servers, np.full(k, cfg.s_min_px))
+        iterations += solve_association_sdr(inst, tol=3e-4, max_iter=2000).solution.iterations
+    a = _random_symmetric(rng, 6)
+    a[0, 1] += 1e-12
+    project_psd(a)
+    assert len(symmetric) == iterations + 1
+    assert all(symmetric)
 
 
 def _partial_support_problem(rng, n, m, with_ineq):
